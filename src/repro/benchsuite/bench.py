@@ -98,8 +98,6 @@ class BenchConfig:
     scenarios: int = 2
     jobs: int = 1
     seed: int = 2016
-    shared_encoding: bool = True
-    solver_backend: str = "fast"
     quick: bool = False
     workloads: Sequence[str] = field(
         default_factory=lambda: (
@@ -213,8 +211,6 @@ def _bench_pipeline(config: BenchConfig) -> Dict[str, Dict[str, float]]:
                 jobs=config.jobs,
                 cache=PipelineCache(cache_dir),
                 scenarios_per_signature=config.scenarios,
-                shared_encoding=config.shared_encoding,
-                solver_backend=config.solver_backend,
             )
             t0 = time.perf_counter()
             result = pipeline.run(bundles)
@@ -283,8 +279,6 @@ def _bench_accuracy_scaled(config: BenchConfig) -> Dict[str, float]:
     bundles, manifest = AdversarialCorpusGenerator(corpus_config).generate()
     engine = AnalysisAndSynthesisEngine(
         scenarios_per_signature=max(config.scenarios, 4),
-        shared_encoding=config.shared_encoding,
-        solver_backend=config.solver_backend,
     )
     t0 = time.perf_counter()
     per_bundle = []
@@ -336,8 +330,8 @@ def _bench_synthesis_modes(config: BenchConfig) -> Dict[str, float]:
     The PR 4 tradeoff, measured head-on: the shared encoding saves ~5x
     on translations but used to *lose* end-to-end because every gated
     query re-propagated the larger shared DB.  ``shared_speedup`` > 1.0
-    means the shared mode wins outright (the target state on the fast
-    backend); it is direction-tagged in ``HIGHER_BETTER`` so a
+    means the shared mode wins outright against the per-signature
+    reference; it is direction-tagged in ``HIGHER_BETTER`` so a
     comparison flags any slide back below parity.
 
     Runs at the engine level (no cache, no worker pool) so the numbers
@@ -380,7 +374,6 @@ def _bench_synthesis_modes(config: BenchConfig) -> Dict[str, float]:
         engine = AnalysisAndSynthesisEngine(
             scenarios_per_signature=config.scenarios,
             shared_encoding=shared,
-            solver_backend=config.solver_backend,
         )
         t0 = time.perf_counter()
         scenarios = 0
@@ -714,8 +707,6 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
     app_dicts = {a.package: serialize.app_to_dict(a) for a in apps}
     session_config = SessionConfig(
         scenarios_per_signature=config.scenarios,
-        shared_encoding=config.shared_encoding,
-        solver_backend=config.solver_backend,
     )
     flips = 2 if config.quick else 4
 

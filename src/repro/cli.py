@@ -7,8 +7,7 @@ Usage (``python -m repro <command>``):
   save each app's extracted model as JSON into DIR.
 - ``analyze MODEL.json ...``    -- analyze a bundle of saved app models:
   print scenarios and policies; ``--alloy FILE`` additionally exports the
-  bundle's Alloy specification; ``--jobs N`` fans synthesis across
-  signatures in parallel.
+  bundle's Alloy specification.
 - ``pipeline``                  -- generate a corpus, partition it into
   bundles, and run the parallel cached analysis pipeline end to end;
   ``--jobs N`` controls the process pool, ``--cache-dir`` the persistent
@@ -69,7 +68,6 @@ from repro import __version__
 from repro.core import serialize
 from repro.core.model import BundleModel
 from repro.core.separ import Separ
-from repro.sat import DEFAULT_BACKEND, SOLVER_BACKENDS
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -112,23 +110,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         text = pathlib.Path(path).read_text()
         apps.append(serialize.loads_app(text))
     bundle = BundleModel(apps=apps)
-    if args.jobs > 1:
-        from repro.pipeline import AnalysisPipeline
-
-        pipeline = AnalysisPipeline(
-            jobs=args.jobs,
-            scenarios_per_signature=args.scenarios,
-            shared_encoding=args.shared_encoding,
-            solver_backend=args.solver_backend,
-        )
-        report = pipeline.analyze_bundles([bundle]).reports[0]
-    else:
-        separ = Separ(
-            scenarios_per_signature=args.scenarios,
-            shared_encoding=args.shared_encoding,
-            solver_backend=args.solver_backend,
-        )
-        report = separ.analyze_bundle(bundle)
+    report = Separ(scenarios_per_signature=args.scenarios).analyze_bundle(
+        bundle
+    )
     print(report.summary())
     for scenario in report.scenarios:
         print(f"\n[{scenario.vulnerability}] {scenario.description}")
@@ -222,8 +206,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         ),
         conflict_budget=args.conflict_budget,
         time_budget_seconds=args.time_budget,
-        shared_encoding=args.shared_encoding,
-        solver_backend=args.solver_backend,
     )
     try:
         result = pipeline.run(bundles)
@@ -257,8 +239,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     solver = report.solver
     print(
-        f"  solver: {solver.solver_calls} calls "
-        f"[{solver.backend or 'cached'}], "
+        f"  solver: {solver.solver_calls} calls, "
         f"{solver.conflicts} conflicts, {solver.decisions} decisions, "
         f"{solver.propagations} propagations"
     )
@@ -514,8 +495,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scenarios_per_signature=args.scenarios,
             conflict_budget=args.conflict_budget,
             time_budget_seconds=args.time_budget,
-            shared_encoding=args.shared_encoding,
-            solver_backend=args.solver_backend,
             pdp_backend=args.pdp_backend,
             cache_entries=args.cache_entries,
         ),
@@ -710,8 +689,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scenarios=args.scenarios,
         jobs=args.jobs,
         seed=args.seed,
-        shared_encoding=args.shared_encoding,
-        solver_backend=args.solver_backend,
         quick=args.quick,
         **extra,
     )
@@ -771,11 +748,7 @@ def _cmd_adversarial(args: argparse.Namespace) -> int:
     from repro.core.synthesis import AnalysisAndSynthesisEngine
     from repro.statics import extract_bundle
 
-    engine = AnalysisAndSynthesisEngine(
-        scenarios_per_signature=args.scenarios,
-        shared_encoding=args.shared_encoding,
-        solver_backend=args.solver_backend,
-    )
+    engine = AnalysisAndSynthesisEngine(scenarios_per_signature=args.scenarios)
     per_bundle = []
     for apks in bundles:
         model = extract_bundle(apks, handle_dynamic_receivers=True)
@@ -888,35 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--alloy", help="also export the bundle's Alloy specification here"
-    )
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for per-signature synthesis "
-        "(default: %(default)s = serial)",
-    )
-    analyze.add_argument(
-        "--shared-encoding",
-        dest="shared_encoding",
-        action="store_true",
-        default=True,
-        help="translate the bundle once and enumerate every signature "
-        "under selector assumptions on one warm solver (default)",
-    )
-    analyze.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        help="translate a fresh problem per signature (byte-identical "
-        "findings; finer parallel granularity)",
-    )
-    analyze.add_argument(
-        "--solver-backend",
-        choices=sorted(SOLVER_BACKENDS),
-        default=DEFAULT_BACKEND,
-        help="SAT backend: 'fast' (flat-arena, default) or 'reference' "
-        "(the readable oracle); findings are byte-identical either way",
     )
     analyze.set_defaults(func=_cmd_analyze)
 
@@ -1031,29 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 3 if any task failed and 2 if any task degraded "
         "(default: exit 0 whenever the run completes)",
-    )
-    pipeline.add_argument(
-        "--shared-encoding",
-        dest="shared_encoding",
-        action="store_true",
-        default=True,
-        help="one synthesis task per bundle on a shared warm solver "
-        "(default)",
-    )
-    pipeline.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        help="one synthesis task per (bundle, signature) pair "
-        "(byte-identical findings; finer parallel granularity)",
-    )
-    pipeline.add_argument(
-        "--solver-backend",
-        choices=sorted(SOLVER_BACKENDS),
-        default=DEFAULT_BACKEND,
-        help="SAT backend: 'fast' (flat-arena, default) or 'reference' "
-        "(the readable oracle); outputs and cache keys are "
-        "backend-independent",
     )
     pipeline.set_defaults(func=_cmd_pipeline)
 
@@ -1274,20 +1195,6 @@ def build_parser() -> argparse.ArgumentParser:
         "degradation semantics (default: unbounded)",
     )
     serve.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        default=True,
-        help="use per-signature synthesis instead of the shared-encoding "
-        "default",
-    )
-    serve.add_argument(
-        "--solver-backend",
-        choices=sorted(SOLVER_BACKENDS),
-        default=DEFAULT_BACKEND,
-        help="SAT backend for session engines (default: %(default)s)",
-    )
-    serve.add_argument(
         "--pdp-backend",
         choices=["compiled", "linear"],
         default="compiled",
@@ -1405,20 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     adversarial.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        default=True,
-        help="analyze with the per-signature synthesis path instead of "
-        "the shared-encoding default",
-    )
-    adversarial.add_argument(
-        "--solver-backend",
-        choices=sorted(SOLVER_BACKENDS),
-        default=DEFAULT_BACKEND,
-        help="SAT backend for the analysis (default: %(default)s)",
-    )
-    adversarial.add_argument(
         "--min-accuracy",
         type=float,
         default=0.0,
@@ -1484,20 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2016,
         help="corpus/partition seed (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--per-signature",
-        dest="shared_encoding",
-        action="store_false",
-        default=True,
-        help="benchmark the per-signature synthesis path instead of the "
-        "shared-encoding default",
-    )
-    bench.add_argument(
-        "--solver-backend",
-        choices=sorted(SOLVER_BACKENDS),
-        default=DEFAULT_BACKEND,
-        help="SAT backend the workloads run on (default: %(default)s)",
     )
     bench.add_argument(
         "--workloads",

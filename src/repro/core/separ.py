@@ -27,7 +27,6 @@ from repro.core.synthesis import (
     SynthesisStats,
 )
 from repro.core.vulnerabilities.base import ExploitScenario, VulnerabilitySignature
-from repro.sat import DEFAULT_BACKEND
 from repro.statics import extract_bundle
 
 
@@ -73,15 +72,11 @@ class Separ:
         scenarios_per_signature: int = 8,
         minimal: bool = True,
         handle_dynamic_receivers: bool = False,
-        shared_encoding: bool = True,
-        solver_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.engine = AnalysisAndSynthesisEngine(
             signatures=signatures,
             scenarios_per_signature=scenarios_per_signature,
             minimal=minimal,
-            shared_encoding=shared_encoding,
-            solver_backend=solver_backend,
         )
         self.handle_dynamic_receivers = handle_dynamic_receivers
 

@@ -25,7 +25,6 @@ from repro.obs import get_metrics, get_tracer
 from repro.relational import ast as rast
 from repro.relational.problem import RelationalProblem
 from repro.relational.sigs import Module, Sig
-from repro.sat import DEFAULT_BACKEND
 from repro.sat.solver import BudgetExhausted
 
 
@@ -59,10 +58,6 @@ class SynthesisStats:
     clauses_shared: int = 0
     learned_carried: int = 0
     exhausted: bool = False
-    # Which solver backend produced these numbers ("reference"/"fast");
-    # "mixed" after merging blocks from different backends, "" when
-    # unknown (stats deserialized from an older cache entry).
-    backend: str = ""
     per_signature: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def merge(self, other: "SynthesisStats") -> None:
@@ -80,10 +75,6 @@ class SynthesisStats:
         self.clauses_shared += other.clauses_shared
         self.learned_carried += other.learned_carried
         self.exhausted = self.exhausted or other.exhausted
-        if not self.backend:
-            self.backend = other.backend
-        elif other.backend and other.backend != self.backend:
-            self.backend = "mixed"
         # Sum numeric fields per key: a signature appearing in both blocks
         # (repeated runs, re-merged stats) must accumulate, not clobber.
         for name, values in other.per_signature.items():
@@ -106,7 +97,6 @@ class SynthesisStats:
             "clauses_shared": self.clauses_shared,
             "learned_carried": self.learned_carried,
             "exhausted": self.exhausted,
-            "backend": self.backend,
             "per_signature": self.per_signature,
         }
 
@@ -126,7 +116,6 @@ class SynthesisStats:
             clauses_shared=data.get("clauses_shared", 0),
             learned_carried=data.get("learned_carried", 0),
             exhausted=bool(data.get("exhausted", False)),
-            backend=str(data.get("backend", "")),
             per_signature={
                 name: dict(values)
                 for name, values in dict(
@@ -168,11 +157,13 @@ class AnalysisAndSynthesisEngine:
     returned and ``stats.exhausted`` is set, so pathological bundles and
     SAT blow-ups yield partial results rather than sinking the pipeline.
 
-    ``shared_encoding`` (the default) translates the framework + bundle
-    base once per bundle and runs every signature as an assumption-gated
-    query against one persistent solver; per-signature mode re-encodes
-    per signature.  Both modes produce identical scenarios (minimization
-    is canonical), differing only in where the work happens.
+    :meth:`run` translates the framework + bundle base once per bundle
+    and runs every signature as an assumption-gated query against one
+    persistent solver (:meth:`run_shared`).  ``shared_encoding=False``
+    selects the reference path instead, which re-encodes per signature
+    (:meth:`run_signature`); both produce identical scenarios
+    (minimization is canonical), differing only in where the work
+    happens.
     """
 
     def __init__(
@@ -183,7 +174,6 @@ class AnalysisAndSynthesisEngine:
         conflict_budget: Optional[int] = None,
         time_budget_seconds: Optional[float] = None,
         shared_encoding: bool = True,
-        solver_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.signatures = (
             list(signatures) if signatures is not None else default_signatures()
@@ -193,9 +183,6 @@ class AnalysisAndSynthesisEngine:
         self.conflict_budget = conflict_budget
         self.time_budget_seconds = time_budget_seconds
         self.shared_encoding = shared_encoding
-        # Pure wall-clock knob: backends are verified byte-identical on
-        # scenarios, so this never participates in cache keys.
-        self.solver_backend = solver_backend
         #: The shared-encoding :class:`RelationalProblem` of the most
         #: recent :meth:`run_shared` call, kept addressable so a resident
         #: caller (the ``repro serve`` session) can keep the solver --
@@ -315,10 +302,8 @@ class AnalysisAndSynthesisEngine:
         stats.translations = 1
         stats.translations_avoided = max(0, len(groups) - 1)
         stats.exhausted = exhausted_any
-        stats.backend = self.solver_backend
         metrics = get_metrics()
         if metrics.enabled:
-            metrics.counter(f"ase.backend.{self.solver_backend}").inc()
             metrics.counter("ase.signature_runs").inc(len(groups))
             metrics.counter("ase.scenarios").inc(len(scenarios))
             metrics.counter("ase.translations").inc(stats.translations)
@@ -367,9 +352,7 @@ class AnalysisAndSynthesisEngine:
         # Allocation only: the base is asserted after the groups, and
         # skipped entirely when every group folds to FALSE (a trivially
         # vulnerability-free bundle costs what per-signature mode pays).
-        problem = RelationalProblem(
-            bounds, rast.TRUE_F, backend=self.solver_backend
-        )
+        problem = RelationalProblem(bounds, rast.TRUE_F)
         atom_home: Dict[object, Sig] = {}
         for sig in merged_scopes:
             for atom in module.anon_atoms_of(sig):
@@ -505,7 +488,7 @@ class AnalysisAndSynthesisEngine:
     ) -> SynthesisResult:
         """Run a single signature against the bundle.
 
-        The per-signature unit of work the parallel pipeline fans out:
+        The unit of work of the per-signature reference path:
         independent of every other signature (modules are mutated by
         instantiation, so each run builds a fresh embedding)."""
         tracer = get_tracer()
@@ -527,7 +510,6 @@ class AnalysisAndSynthesisEngine:
                 problem = spec.module.solve_problem(
                     goal=instantiation.goal,
                     extra=instantiation.extra_scopes,
-                    backend=self.solver_backend,
                 )
             if self.conflict_budget is not None:
                 problem.conflict_budget = self.conflict_budget
@@ -562,7 +544,6 @@ class AnalysisAndSynthesisEngine:
         stats.solver_calls = problem.stats.solver_calls
         stats.translations = 1
         stats.exhausted = exhausted
-        stats.backend = self.solver_backend
         stats.per_signature[signature.name] = {
             "construction_seconds": construction,
             "solving_seconds": solving,

@@ -15,8 +15,7 @@ implement one decision contract (see ``docs/ENFORCEMENT.md``):
   decision- and audit-identical to the linear backend by construction and
   by test.
 
-Construct either by name with :func:`repro.enforcement.make_pdp`
-(mirroring :func:`repro.sat.make_solver`).
+Construct either by name with :func:`repro.enforcement.make_pdp`.
 
 **The decision contract.**  ``decide(event_kind, event)`` returns a
 :class:`Decision` (``ALLOW`` or ``DENY``) and, as a side effect, records

@@ -41,7 +41,7 @@ from repro.dex.program import DexMethod
 from repro.enforcement.hooks import HookManager, MethodCall
 from repro.obs import get_metrics, get_tracer
 
-_MAX_DISPATCH = 10_000  # runaway-broadcast backstop
+_MAX_DISPATCH = 10_000  # runaway-broadcast backstop, per activation
 _MAX_FRAMES = 256
 
 
@@ -253,7 +253,6 @@ class AndroidRuntime:
         self._statics: Dict[str, Any] = {}
         self._this_fields: Dict[Tuple[str, str], Any] = {}  # (component, field)
         self._result_channel: Dict[str, str] = {}  # receiver -> original caller
-        self._dispatch_count = 0
         self.icc_sent = 0
         self.icc_delivered = 0
 
@@ -282,11 +281,20 @@ class AndroidRuntime:
         self._drain()
 
     def _drain(self) -> None:
+        """Run queued deliveries until the queue is empty.
+
+        The dispatch budget counts one activation's deliveries, so a
+        long-lived runtime serves any number of activations.  A runaway
+        activation is abandoned with its pending deliveries, and the next
+        activation starts from an empty queue.
+        """
         tracer = get_tracer()
         metrics = get_metrics()
+        dispatched = 0
         while self._queue:
-            self._dispatch_count += 1
-            if self._dispatch_count > _MAX_DISPATCH:
+            dispatched += 1
+            if dispatched > _MAX_DISPATCH:
+                self._queue.clear()
                 raise RuntimeError("ICC dispatch budget exceeded")
             delivery = self._queue.popleft()
             if metrics.enabled:

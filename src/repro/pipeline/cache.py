@@ -19,6 +19,7 @@ import collections
 import dataclasses
 import enum
 import hashlib
+import importlib
 import inspect
 import json
 import os
@@ -88,59 +89,74 @@ def content_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+#: Every module whose source can change a cached extraction or synthesis
+#: result: the ``repro.*`` import closure of the extraction and synthesis
+#: entry points (``repro.statics``, ``repro.core.synthesis``; instrumentation
+#: in ``repro.obs`` excluded), which ``tests/pipeline/test_cache.py``
+#: recomputes and checks against this list, plus the modules that define
+#: the cached payloads.  Kept as a list because computing the closure at
+#: run time costs far more than hashing it.
+FINGERPRINT_MODULES = (
+    "repro.android.apk",
+    "repro.android.components",
+    "repro.android.intents",
+    "repro.android.manifest",
+    "repro.android.permissions",
+    "repro.android.resources",
+    "repro.core.app_to_spec",
+    "repro.core.framework_spec",
+    "repro.core.icc_graph",
+    "repro.core.model",
+    "repro.core.serialize",
+    "repro.core.synthesis",
+    "repro.core.vulnerabilities",
+    "repro.core.vulnerabilities.base",
+    "repro.core.vulnerabilities.collusion",
+    "repro.core.vulnerabilities.dynamic_receiver",
+    "repro.core.vulnerabilities.escalation",
+    "repro.core.vulnerabilities.hijack",
+    "repro.core.vulnerabilities.launch",
+    "repro.core.vulnerabilities.leak",
+    "repro.core.vulnerabilities.provider_leak",
+    "repro.core.vulnerabilities.redelegation",
+    "repro.dex.instructions",
+    "repro.dex.program",
+    "repro.pipeline.synthesis_key",
+    "repro.relational",
+    "repro.relational.ast",
+    "repro.relational.instance",
+    "repro.relational.problem",
+    "repro.relational.sigs",
+    "repro.relational.translate",
+    "repro.relational.universe",
+    "repro.sat",
+    "repro.sat.cnf",
+    "repro.sat.fastsolver",
+    "repro.sat.solver",
+    "repro.sat.tseitin",
+    "repro.statics",
+    "repro.statics.callgraph",
+    "repro.statics.cfg",
+    "repro.statics.constprop",
+    "repro.statics.extractor",
+    "repro.statics.intent_extraction",
+    "repro.statics.permission_extraction",
+    "repro.statics.taint",
+)
+
+
 @lru_cache(maxsize=1)
 def framework_fingerprint() -> str:
     """Digest of the analysis code a cached result depends on.
 
-    Covers model extraction, the relational embedding and meta-model, the
-    translator/solver substrate, and the vulnerability signatures: editing
-    any of them changes every cache key, which is exactly the invalidation
-    the correctness argument needs.
+    Hashes the source of every module in :data:`FINGERPRINT_MODULES`:
+    editing any of them changes every cache key, which is exactly the
+    invalidation the correctness argument needs.
     """
-    import repro.android.intents
-    import repro.core.app_to_spec
-    import repro.core.model
-    import repro.core.serialize
-    import repro.core.synthesis
-    import repro.core.vulnerabilities.base
-    import repro.core.vulnerabilities.escalation
-    import repro.core.vulnerabilities.hijack
-    import repro.core.vulnerabilities.launch
-    import repro.core.vulnerabilities.leak
-    import repro.relational.problem
-    import repro.relational.translate
-    import repro.sat.cnf
-    import repro.sat.fastsolver
-    import repro.sat.solver
-    import repro.sat.tseitin
-    import repro.statics
-
-    modules = [
-        repro.android.intents,
-        repro.core.app_to_spec,
-        repro.core.model,
-        repro.core.serialize,
-        repro.core.synthesis,
-        repro.core.vulnerabilities.base,
-        repro.core.vulnerabilities.escalation,
-        repro.core.vulnerabilities.hijack,
-        repro.core.vulnerabilities.launch,
-        repro.core.vulnerabilities.leak,
-        repro.relational.problem,
-        repro.relational.translate,
-        # The whole SAT substrate: both backends (``fast`` is the default
-        # since PR 6) and the CNF/Tseitin encoder.  Editing any of them
-        # changes what a synthesis task computes, so all of them must
-        # rotate every cache key.
-        repro.sat.cnf,
-        repro.sat.fastsolver,
-        repro.sat.solver,
-        repro.sat.tseitin,
-        repro.statics,
-    ]
     digest = hashlib.sha256()
-    for module in modules:
-        digest.update(module.__name__.encode("utf-8"))
+    for name in FINGERPRINT_MODULES:
+        module = importlib.import_module(name)
+        digest.update(name.encode("utf-8"))
         try:
             digest.update(inspect.getsource(module).encode("utf-8"))
         except (OSError, TypeError):  # no source (frozen/zipped): name only

@@ -1,15 +1,15 @@
 """The parallel, cached, fault-tolerant analysis/synthesis pipeline.
 
-Extraction is fanned out across apps and synthesis across bundles (the
-default shared-encoding mode: one task per bundle translates the framework
-spec once and enumerates every signature under selector assumptions on one
-warm solver) or across (bundle, vulnerability-signature) pairs
-(``shared_encoding=False``: signatures never share solver state, giving
-finer-grained parallelism at the cost of one full translation per
-signature).  Results flow through the content-addressed
-:class:`~repro.pipeline.cache.PipelineCache`, so a rerun over unchanged
-inputs skips extraction and SAT solving entirely; the two modes use
-disjoint cache keys but produce byte-identical findings.
+Extraction is fanned out across apps and synthesis across bundles: one
+task per bundle translates the framework spec once and enumerates every
+signature under selector assumptions on one warm solver.  The reference
+path (``shared_encoding=False``) runs one task per (bundle,
+vulnerability-signature) pair instead, each on its own translation; tests
+and the benchmark's findings oracle compare against it.  Results flow
+through the content-addressed :class:`~repro.pipeline.cache.PipelineCache`
+under the keys of :mod:`repro.pipeline.synthesis_key`, so a rerun over
+unchanged inputs skips extraction and SAT solving entirely; the two paths
+use disjoint cache keys but produce byte-identical findings.
 
 Determinism: workers communicate via the canonical JSON forms in
 ``repro.core.serialize`` and results are reassembled in (bundle, signature)
@@ -59,11 +59,7 @@ from repro.core import serialize
 from repro.core.detector import DetectionReport
 from repro.core.model import AppModel, BundleModel
 from repro.core.separ import Separ, SeparReport
-from repro.core.synthesis import (
-    AnalysisAndSynthesisEngine,
-    SynthesisResult,
-    SynthesisStats,
-)
+from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.core.vulnerabilities import default_signatures, lookup
 from repro.obs import (
     CostKey,
@@ -85,7 +81,13 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.faults import maybe_inject, mark_parent_process
 from repro.pipeline.stats import RunReport, TaskFailure
-from repro.sat import DEFAULT_BACKEND
+from repro.pipeline.synthesis_key import (
+    app_content_key,
+    engine_params,
+    synthesis_key,
+    synthesis_payload,
+    synthesis_result,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -191,21 +193,10 @@ def _synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
         )
         signature = lookup(task["signature"])()
         engine = AnalysisAndSynthesisEngine(
-            signatures=[signature],
-            scenarios_per_signature=task["scenarios_per_signature"],
-            minimal=task["minimal"],
-            conflict_budget=task.get("conflict_budget"),
-            time_budget_seconds=task.get("time_budget_seconds"),
-            solver_backend=task.get("solver_backend", DEFAULT_BACKEND),
+            signatures=[signature], **task["params"]
         )
         result = engine.run_signature(bundle, signature)
-    return {
-        "scenarios": [
-            serialize.scenario_to_dict(s) for s in result.scenarios
-        ],
-        "stats": result.stats.to_dict(),
-        "incomplete": bool(result.stats.exhausted),
-    }
+    return synthesis_payload(result)
 
 
 def _shared_task_key(task: Dict[str, Any]) -> str:
@@ -227,22 +218,10 @@ def _shared_synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
         )
         signatures = [lookup(name)() for name in task["signatures"]]
         engine = AnalysisAndSynthesisEngine(
-            signatures=signatures,
-            scenarios_per_signature=task["scenarios_per_signature"],
-            minimal=task["minimal"],
-            conflict_budget=task.get("conflict_budget"),
-            time_budget_seconds=task.get("time_budget_seconds"),
-            shared_encoding=True,
-            solver_backend=task.get("solver_backend", DEFAULT_BACKEND),
+            signatures=signatures, **task["params"]
         )
         result = engine.run_shared(bundle)
-    return {
-        "scenarios": [
-            serialize.scenario_to_dict(s) for s in result.scenarios
-        ],
-        "stats": result.stats.to_dict(),
-        "incomplete": bool(result.stats.exhausted),
-    }
+    return synthesis_payload(result)
 
 
 def _extract_attribution(task: Tuple[Any, bool]) -> Dict[str, str]:
@@ -387,7 +366,10 @@ class AnalysisPipeline:
     for byte.  ``faults`` governs per-task retries/timeouts (see
     :class:`FaultPolicy`); ``conflict_budget`` / ``time_budget_seconds``
     bound each synthesis task, degrading it to a partial result instead of
-    letting a SAT blow-up sink the run.
+    letting a SAT blow-up sink the run.  ``shared_encoding=False`` selects
+    the per-(bundle, signature) reference path, whose findings are
+    byte-identical and whose tasks fail and degrade one signature at a
+    time.
     """
 
     def __init__(
@@ -402,7 +384,6 @@ class AnalysisPipeline:
         conflict_budget: Optional[int] = None,
         time_budget_seconds: Optional[float] = None,
         shared_encoding: bool = True,
-        solver_backend: str = DEFAULT_BACKEND,
         start_method: Optional[str] = None,
     ) -> None:
         self.jobs = max(1, jobs)
@@ -424,7 +405,6 @@ class AnalysisPipeline:
         self.conflict_budget = conflict_budget
         self.time_budget_seconds = time_budget_seconds
         self.shared_encoding = shared_encoding
-        self.solver_backend = solver_backend
 
     # ------------------------------------------------------------------
     # Fault-tolerant task dispatch
@@ -831,33 +811,6 @@ class AnalysisPipeline:
                 }
             )
 
-    def _engine_params(self) -> Dict[str, Any]:
-        """Engine parameters that *do* shape results, and so cache keys.
-
-        ``solver_backend`` is deliberately absent: backends are verified
-        byte-identical (and budget-exhausted payloads are never cached),
-        so a cache entry written under one backend is valid under the
-        other.  The backend travels in the task payload instead.
-        """
-        return {
-            "scenarios_per_signature": self.scenarios_per_signature,
-            "minimal": self.minimal,
-            "conflict_budget": self.conflict_budget,
-            "time_budget_seconds": self.time_budget_seconds,
-        }
-
-    @staticmethod
-    def _app_content_key(app_dict: Dict[str, Any]) -> str:
-        """Hash of an app's *analysis-relevant* content.
-
-        ``extraction_seconds`` is a wall-clock measurement that changes on
-        every fresh extraction; hashing it would give re-extracted apps new
-        synthesis keys and spuriously miss otherwise-valid cache entries.
-        """
-        return content_hash(
-            {k: v for k, v in app_dict.items() if k != "extraction_seconds"}
-        )
-
     # ------------------------------------------------------------------
     def extract_apps(
         self, apks: Sequence[Apk], report: Optional[RunReport] = None
@@ -978,9 +931,12 @@ class AnalysisPipeline:
         run_report = run_report if run_report is not None else RunReport(jobs=self.jobs)
         run_report.num_bundles += len(bundle_models)
         tracer = get_tracer()
-        metrics = get_metrics()
-        fingerprint = framework_fingerprint()
-        params = self._engine_params()
+        params = engine_params(
+            self.scenarios_per_signature,
+            self.minimal,
+            self.conflict_budget,
+            self.time_budget_seconds,
+        )
 
         start = time.perf_counter()
         with tracer.span(
@@ -990,47 +946,25 @@ class AnalysisPipeline:
                 [serialize.app_to_dict(a) for a in bundle.apps]
                 for bundle in bundle_models
             ]
-            app_hashes = [
-                sorted(self._app_content_key(d) for d in apps)
-                for apps in bundle_apps
+            app_keys = [
+                [app_content_key(d) for d in apps] for apps in bundle_apps
             ]
-            if self.shared_encoding:
-                # One task per bundle: the worker translates once and
-                # enumerates every signature on the shared warm solver.
-                tasks: List[Tuple[int, int]] = [
-                    (b, 0) for b in range(len(bundle_models))
-                ]
-                keys = [
-                    content_hash(
-                        {
-                            "task": "synthesis",
-                            "mode": "shared",
-                            "apps": app_hashes[b],
-                            "signatures": list(self.signature_names),
-                            "params": params,
-                            "fingerprint": fingerprint,
-                        }
-                    )
-                    for b, _ in tasks
-                ]
-            else:
-                tasks = [
-                    (b, s)
-                    for b in range(len(bundle_models))
-                    for s in range(len(self.signature_names))
-                ]
-                keys = [
-                    content_hash(
-                        {
-                            "task": "synthesis",
-                            "apps": app_hashes[b],
-                            "signature": self.signature_names[s],
-                            "params": params,
-                            "fingerprint": fingerprint,
-                        }
-                    )
-                    for b, s in tasks
-                ]
+            # (bundle index, signature name): one whole-bundle task (name
+            # None) per bundle, or one task per signature on the
+            # reference path.
+            tasks: List[Tuple[int, Optional[str]]] = [
+                (b, name)
+                for b in range(len(bundle_models))
+                for name in (
+                    [None] if self.shared_encoding else self.signature_names
+                )
+            ]
+            keys = [
+                synthesis_key(
+                    app_keys[b], params, self.signature_names, signature=name
+                )
+                for b, name in tasks
+            ]
             cached: List[Optional[Dict[str, Any]]] = [
                 self.cache.get("synthesis", key) for key in keys
             ]
@@ -1041,51 +975,51 @@ class AnalysisPipeline:
                     {
                         "apps": bundle_apps[tasks[i][0]],
                         "signatures": list(self.signature_names),
-                        "solver_backend": self.solver_backend,
-                        **params,
+                        "params": params,
                     }
                     for i in miss_indices
                 ]
-                worker, worker_obs = (
+                worker, worker_obs, label = (
                     _shared_synthesis_worker,
                     _shared_synthesis_worker_obs,
+                    _shared_task_key,
                 )
-                labels = [_shared_task_key(t) for t in task_payloads]
             else:
                 task_payloads = [
                     {
                         "apps": bundle_apps[tasks[i][0]],
-                        "signature": self.signature_names[tasks[i][1]],
-                        "solver_backend": self.solver_backend,
-                        **params,
+                        "signature": tasks[i][1],
+                        "params": params,
                     }
                     for i in miss_indices
                 ]
-                worker, worker_obs = _synthesis_worker, _synthesis_worker_obs
-                labels = [_synthesis_task_key(t) for t in task_payloads]
+                worker, worker_obs, label = (
+                    _synthesis_worker,
+                    _synthesis_worker_obs,
+                    _synthesis_task_key,
+                )
             outcomes = self._map(
                 worker,
                 task_payloads,
                 stage="synthesis",
-                labels=labels,
+                labels=[label(t) for t in task_payloads],
                 obs_fn=worker_obs,
             )
             ledger = get_cost_ledger()
             if ledger.enabled:
                 tid = current_trace_id() or ""
                 missed = set(miss_indices)
-                for i, (b, s) in enumerate(tasks):
+                for i, (b, name) in enumerate(tasks):
                     if i in missed:
                         continue
                     packages = ",".join(
                         sorted(a["package"] for a in bundle_apps[b])
                     )
-                    signature = (
-                        "*" if self.shared_encoding else self.signature_names[s]
-                    )
                     ledger.charge(
                         CostKey(
-                            trace_id=tid, bundle=packages, signature=signature
+                            trace_id=tid,
+                            bundle=packages,
+                            signature=name or "*",
                         ),
                         cache_hits=1,
                     )
@@ -1120,20 +1054,12 @@ class AnalysisPipeline:
         reports: List[SeparReport] = []
         with tracer.span("pipeline.assemble", bundles=len(bundle_models)):
             for b, bundle in enumerate(bundle_models):
-                scenarios = []
-                stats = SynthesisStats()
-                for i, (tb, _ts) in enumerate(tasks):
-                    if tb != b:
-                        continue
-                    payload = cached[i]
-                    if payload is None:
-                        continue  # task failed; recorded in failures
-                    scenarios.extend(
-                        serialize.scenario_from_dict(s)
-                        for s in payload["scenarios"]
-                    )
-                    stats.merge(SynthesisStats.from_dict(payload["stats"]))
-                result = SynthesisResult(scenarios=scenarios, stats=stats)
+                result = synthesis_result(
+                    payload
+                    for (tb, _), payload in zip(tasks, cached)
+                    if tb == b and payload is not None
+                )
+                stats = result.stats
                 report = Separ.assemble_report(bundle, result)
                 reports.append(report)
                 run_report.solver.add_synthesis_stats(stats)

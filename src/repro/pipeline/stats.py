@@ -144,17 +144,8 @@ class SolverCounters:
     translations_avoided: int = 0
     clauses_shared: int = 0
     learned_carried: int = 0
-    # Solver backend that produced these counters ("reference"/"fast";
-    # "mixed" if stats from different backends were folded together, ""
-    # when nothing has been recorded, e.g. an all-cache-hits run).
-    backend: str = ""
 
     def add_synthesis_stats(self, stats: "SynthesisStatsLike") -> None:
-        other_backend = getattr(stats, "backend", "")
-        if not self.backend:
-            self.backend = other_backend
-        elif other_backend and other_backend != self.backend:
-            self.backend = "mixed"
         self.conflicts += stats.conflicts
         self.decisions += stats.decisions
         self.propagations += stats.propagations
@@ -180,7 +171,6 @@ class SolverCounters:
             "translations_avoided": self.translations_avoided,
             "clauses_shared": self.clauses_shared,
             "learned_carried": self.learned_carried,
-            "backend": self.backend,
         }
 
 
@@ -317,7 +307,6 @@ class RunReport:
             translations_avoided=solver.get("translations_avoided", 0),
             clauses_shared=solver.get("clauses_shared", 0),
             learned_carried=solver.get("learned_carried", 0),
-            backend=solver.get("backend", ""),
         )
         return report
 

@@ -34,7 +34,7 @@ from repro.relational import ast as rast
 from repro.relational.instance import Instance, instance_from_model
 from repro.relational.translate import TranslationRecord, Translator
 from repro.relational.universe import AtomTuple, Bounds, Relation
-from repro.sat import DEFAULT_BACKEND, make_solver
+from repro.sat.fastsolver import FastSolver
 from repro.sat.solver import BudgetExhausted
 
 
@@ -75,11 +75,9 @@ class RelationalProblem:
         self,
         bounds: Bounds,
         formula: rast.Formula,
-        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.bounds = bounds
         self.formula = formula
-        self.backend = backend
         self.conflict_budget: Optional[int] = None
         self.stats = SolveStats()
         start = time.perf_counter()
@@ -92,11 +90,10 @@ class RelationalProblem:
         )
         self.stats.translation_seconds = time.perf_counter() - start
         self.stats.num_primary_vars = len(self._record.primary_vars)
-        # Backend choice is a wall-clock knob only: both backends are
-        # verified byte-identical on relational results (the canonical
-        # lex-greedy minimization makes minimal scenarios trajectory-
-        # independent), so nothing downstream may key on it.
-        self._solver = make_solver(backend)
+        # Tests swap this one name for the reference ``Solver`` to check
+        # that relational results do not depend on the solver (canonical
+        # minimization makes minimal scenarios trajectory-independent).
+        self._solver = FastSolver()
         self._fed_clauses = 0
         self._trivially_unsat = self._record.trivially_unsat
         self._canonical_order: Optional[List[int]] = None

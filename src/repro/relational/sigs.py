@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.relational import ast as rast
 from repro.relational.problem import RelationalProblem
-from repro.sat import DEFAULT_BACKEND
 from repro.relational.universe import Bounds, Relation, Universe
 
 
@@ -418,10 +417,7 @@ class Module:
         self,
         goal: rast.Formula = rast.TRUE_F,
         extra: Optional[Dict[Sig, int]] = None,
-        backend: str = DEFAULT_BACKEND,
     ) -> RelationalProblem:
         """Build bounds and return a solver-ready problem for goal ∧ facts."""
         bounds, implicit = self.build(extra)
-        return RelationalProblem(
-            bounds, rast.and_all([implicit, goal]), backend=backend
-        )
+        return RelationalProblem(bounds, rast.and_all([implicit, goal]))

@@ -8,23 +8,22 @@ propagation, VSIDS-style activity heuristics, first-UIP clause learning, and
 Luby restarts, plus CNF utilities (Tseitin transformation of arbitrary
 boolean circuits) and DIMACS import/export.
 
-Two interchangeable backends implement the solver contract:
+Two implementations share the solver contract:
 
-- :class:`repro.sat.solver.Solver` -- the readable object-graph
-  reference implementation, kept as the differential-testing oracle.
 - :class:`repro.sat.fastsolver.FastSolver` -- a MiniSat-style flat-arena
   implementation (integer clause refs, per-literal watcher lists,
-  LBD-tagged clause reduction, assumption-aware trail saving) that the
-  analysis pipeline selects by default for wall-clock speed.
-
-Both must produce byte-identical relational results; use
-:func:`make_solver` to construct one by name.
+  LBD-tagged clause reduction, assumption-aware trail saving): the solver
+  every synthesis runs on.
+- :class:`repro.sat.solver.Solver` -- the readable object-graph
+  reference implementation, kept as the test oracle: the fuzz suite runs
+  it in lockstep with ``FastSolver``, and the differential suites swap it
+  into :class:`repro.relational.problem.RelationalProblem` to check that
+  relational results are byte-identical.
 
 Public API
 ----------
-- :func:`make_solver` -- backend registry (``"reference"`` / ``"fast"``).
-- :class:`repro.sat.solver.Solver` -- the reference CDCL solver.
 - :class:`repro.sat.fastsolver.FastSolver` -- the flat-arena CDCL solver.
+- :class:`repro.sat.solver.Solver` -- the reference CDCL solver.
 - :class:`repro.sat.solver.Model` -- assigned-only satisfying assignment.
 - :class:`repro.sat.cnf.CNF` -- a clause database with variable allocation.
 - :mod:`repro.sat.tseitin` -- boolean circuit nodes and CNF conversion.
@@ -35,33 +34,6 @@ from repro.sat.cnf import CNF
 from repro.sat.fastsolver import FastSolver
 from repro.sat.solver import BudgetExhausted, Model, Solver, SolveResult
 
-#: Name -> constructor for every solver backend.  Names are the values
-#: accepted by ``--solver-backend`` and ``RelationalProblem(backend=...)``.
-SOLVER_BACKENDS = {
-    "reference": Solver,
-    "fast": FastSolver,
-}
-
-DEFAULT_BACKEND = "fast"
-
-
-def make_solver(backend: str = DEFAULT_BACKEND):
-    """Construct a solver by backend name (``"reference"`` or ``"fast"``).
-
-    The choice never affects results -- backends are verified
-    byte-identical -- only wall-clock, so callers may treat the name as a
-    pure performance knob (and cache keys must not include it).
-    """
-    try:
-        factory = SOLVER_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {backend!r}; "
-            f"expected one of {sorted(SOLVER_BACKENDS)}"
-        ) from None
-    return factory()
-
-
 __all__ = [
     "CNF",
     "Solver",
@@ -69,7 +41,4 @@ __all__ = [
     "SolveResult",
     "Model",
     "BudgetExhausted",
-    "SOLVER_BACKENDS",
-    "DEFAULT_BACKEND",
-    "make_solver",
 ]

@@ -42,8 +42,8 @@ The semantics are identical to the reference solver: same
 assumption-failure behaviour, and the same *exact*
 :class:`~repro.sat.solver.BudgetExhausted` raise at ``>= budget``
 conflicts.  The reference solver remains the differential-fuzzing
-oracle; this backend is selected via
-``RelationalProblem(backend="fast")`` / ``--solver-backend fast``.
+oracle; :class:`~repro.relational.problem.RelationalProblem` builds this
+one.
 """
 
 from __future__ import annotations

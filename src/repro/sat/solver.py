@@ -125,8 +125,8 @@ class Solver:
 
     This is the *reference* backend: a readable object-graph
     implementation that doubles as the differential-testing oracle for
-    :class:`repro.sat.fastsolver.FastSolver`, the flat-arena backend
-    selected in production paths.  Both share one contract
+    :class:`repro.sat.fastsolver.FastSolver`, the flat-arena solver
+    every synthesis runs on.  Both share one contract
     (``SolveResult``/``Model``, assumption semantics, exact
     ``BudgetExhausted`` behaviour) and must agree literally.
     """

@@ -11,10 +11,11 @@ enforcement loop (Section IX) needs resident between events:
   encoding answers every signature on a single warm solver per
   composition and keeps its :class:`RelationalProblem` addressable
   (``engine.last_problem``) for telemetry;
-- an in-memory content-addressed cache (:class:`MemoryCache`) keyed with
-  *exactly* the pipeline's shared-synthesis key scheme, so any
-  composition this device has been in before -- uninstall/reinstall
-  flips, permission toggles that round-trip -- answers without solving;
+- an in-memory content-addressed cache (:class:`MemoryCache`) keyed by
+  :mod:`repro.pipeline.synthesis_key`, exactly as the pipeline keys its
+  bundle tasks, so any composition this device has been in before --
+  uninstall/reinstall flips, permission toggles that round-trip --
+  answers without solving;
 - a resident PDP whose policy set is refreshed through the existing
   invalidation protocol (``pdp.policies = ...``) whenever re-synthesis
   changes it, plus the device's append-only audit trail.
@@ -45,22 +46,18 @@ from repro.core.incremental import DeltaReport, IncrementalAnalyzer, effective_a
 from repro.core.model import AppModel, BundleModel
 from repro.core.policy import IccEvent, PolicyEvent
 from repro.core.separ import Separ, SeparReport
-from repro.core.synthesis import (
-    AnalysisAndSynthesisEngine,
-    SynthesisResult,
-    SynthesisStats,
-)
+from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.enforcement import AuditLog, make_pdp
 from repro.enforcement.pdp import deny_all_prompts
-from repro.pipeline.cache import (
-    MemoryCache,
-    PipelineCache,
-    content_hash,
-    framework_fingerprint,
-)
+from repro.pipeline.cache import MemoryCache, PipelineCache
 from repro.obs import CostKey, current_trace_id, get_cost_ledger
-from repro.pipeline.executor import AnalysisPipeline
-from repro.sat import DEFAULT_BACKEND
+from repro.pipeline.synthesis_key import (
+    app_content_key,
+    engine_params,
+    synthesis_key,
+    synthesis_payload,
+    synthesis_result,
+)
 from repro.service.protocol import ProtocolError
 
 
@@ -68,17 +65,15 @@ from repro.service.protocol import ProtocolError
 class SessionConfig:
     """Engine + enforcement knobs shared by every session of one server.
 
-    The first five fields mirror the pipeline's ``_engine_params`` (plus
-    the backend knobs that deliberately stay *out* of cache keys), so a
-    session's cache entries are interchangeable with the pipeline's.
+    The first four fields are the engine parameters the pipeline keys
+    its cache entries by, so a session's entries are interchangeable
+    with the pipeline's.
     """
 
     scenarios_per_signature: int = 2
     minimal: bool = True
     conflict_budget: Optional[int] = None
     time_budget_seconds: Optional[float] = None
-    shared_encoding: bool = True
-    solver_backend: str = DEFAULT_BACKEND
     pdp_backend: str = "compiled"
     #: LRU bound of the per-session synthesis cache (0 = unbounded).
     cache_entries: int = 256
@@ -86,25 +81,17 @@ class SessionConfig:
     audit_window: int = 0
 
     def engine_params(self) -> Dict[str, Any]:
-        """The cache-key parameter block, shaped exactly like
-        ``AnalysisPipeline._engine_params`` (backends excluded)."""
-        return {
-            "scenarios_per_signature": self.scenarios_per_signature,
-            "minimal": self.minimal,
-            "conflict_budget": self.conflict_budget,
-            "time_budget_seconds": self.time_budget_seconds,
-        }
+        """The engine parameter block of the cache key."""
+        return engine_params(
+            self.scenarios_per_signature,
+            self.minimal,
+            self.conflict_budget,
+            self.time_budget_seconds,
+        )
 
 
 def _make_engine(config: SessionConfig) -> AnalysisAndSynthesisEngine:
-    return AnalysisAndSynthesisEngine(
-        scenarios_per_signature=config.scenarios_per_signature,
-        minimal=config.minimal,
-        conflict_budget=config.conflict_budget,
-        time_budget_seconds=config.time_budget_seconds,
-        shared_encoding=config.shared_encoding,
-        solver_backend=config.solver_backend,
-    )
+    return AnalysisAndSynthesisEngine(**config.engine_params())
 
 
 def findings_bundle(report: SeparReport) -> Dict[str, Any]:
@@ -425,15 +412,7 @@ class DeviceSession:
         if not self._dirty and self._report is not None:
             return self._report
         bundle = self.current_bundle()
-        payload = self._synthesis_payload(bundle)
-        stats = SynthesisStats()
-        stats.merge(SynthesisStats.from_dict(payload["stats"]))
-        result = SynthesisResult(
-            scenarios=[
-                serialize.scenario_from_dict(s) for s in payload["scenarios"]
-            ],
-            stats=stats,
-        )
+        result = synthesis_result([self._synthesis_payload(bundle)])
         self._report = Separ.assemble_report(bundle, result)
         # The existing invalidation protocol: assigning the policy list
         # recompiles the compiled backend's index and flushes its
@@ -445,104 +424,34 @@ class DeviceSession:
     def _synthesis_payload(self, bundle: BundleModel) -> Dict[str, Any]:
         """The composition's synthesis payload: cache hit or fresh solve.
 
-        Keys replicate the pipeline executor's scheme exactly (same app
-        content hashing, same parameter block, same framework
-        fingerprint), so session entries and pipeline entries are the
-        same currency.  Degraded (budget-exhausted) payloads pass
-        through to the caller but are never cached -- ``MemoryCache``
-        inherits the pipeline's rejection rule.
+        Keyed exactly as the pipeline keys a bundle task, so session
+        entries and pipeline entries are the same currency.  Degraded
+        (budget-exhausted) payloads pass through to the caller but are
+        never cached -- ``MemoryCache`` inherits the pipeline's rejection
+        rule.
         """
-        app_dicts = [serialize.app_to_dict(a) for a in bundle.apps]
-        app_hashes = sorted(
-            AnalysisPipeline._app_content_key(d) for d in app_dicts
+        key = synthesis_key(
+            [app_content_key(serialize.app_to_dict(a)) for a in bundle.apps],
+            self.config.engine_params(),
+            self.signature_names,
         )
-        fingerprint = framework_fingerprint()
-        params = self.config.engine_params()
         ledger = get_cost_ledger()
         bundle_label = ",".join(sorted(a.package for a in bundle.apps))
-        if self.config.shared_encoding:
-            key = content_hash(
-                {
-                    "task": "synthesis",
-                    "mode": "shared",
-                    "apps": app_hashes,
-                    "signatures": list(self.signature_names),
-                    "params": params,
-                    "fingerprint": fingerprint,
-                }
-            )
-            self.warm_lookups += 1
-            cached = self.cache.get("synthesis", key)
-            if cached is not None:
-                self.warm_hits += 1
-                if ledger.enabled:
-                    ledger.charge(
-                        self._cost_key(bundle_label, "*"), cache_hits=1
-                    )
-                return cached
-            result = self.engine.run_shared(bundle)
-            payload = {
-                "scenarios": [
-                    serialize.scenario_to_dict(s) for s in result.scenarios
-                ],
-                "stats": result.stats.to_dict(),
-                "incomplete": bool(result.stats.exhausted),
-            }
-            self.syntheses += 1
+        self.warm_lookups += 1
+        cached = self.cache.get("synthesis", key)
+        if cached is not None:
+            self.warm_hits += 1
             if ledger.enabled:
-                cost_key = self._cost_key(bundle_label, "*")
-                ledger.charge(cost_key, cache_misses=1)
-                ledger.charge_stats(cost_key, payload["stats"])
-            self.cache.put("synthesis", key, payload)
-            return payload
-        # Per-signature mode: one entry per (composition, signature),
-        # merged in signature order -- the executor's assembly order.
-        scenarios: List[Dict[str, Any]] = []
-        stats = SynthesisStats()
-        incomplete = False
-        for signature in self.engine.signatures:
-            key = content_hash(
-                {
-                    "task": "synthesis",
-                    "apps": app_hashes,
-                    "signature": signature.name,
-                    "params": params,
-                    "fingerprint": fingerprint,
-                }
-            )
-            self.warm_lookups += 1
-            payload = self.cache.get("synthesis", key)
-            if payload is not None:
-                self.warm_hits += 1
-                if ledger.enabled:
-                    ledger.charge(
-                        self._cost_key(bundle_label, signature.name),
-                        cache_hits=1,
-                    )
-            else:
-                result = self.engine.run_signature(bundle, signature)
-                payload = {
-                    "scenarios": [
-                        serialize.scenario_to_dict(s)
-                        for s in result.scenarios
-                    ],
-                    "stats": result.stats.to_dict(),
-                    "incomplete": bool(result.stats.exhausted),
-                }
-                self.syntheses += 1
-                if ledger.enabled:
-                    cost_key = self._cost_key(bundle_label, signature.name)
-                    ledger.charge(cost_key, cache_misses=1)
-                    ledger.charge_stats(cost_key, payload["stats"])
-                self.cache.put("synthesis", key, payload)
-            scenarios.extend(payload["scenarios"])
-            stats.merge(SynthesisStats.from_dict(payload["stats"]))
-            incomplete = incomplete or bool(payload.get("incomplete"))
-        return {
-            "scenarios": scenarios,
-            "stats": stats.to_dict(),
-            "incomplete": incomplete,
-        }
+                ledger.charge(self._cost_key(bundle_label, "*"), cache_hits=1)
+            return cached
+        payload = synthesis_payload(self.engine.run_shared(bundle))
+        self.syntheses += 1
+        if ledger.enabled:
+            cost_key = self._cost_key(bundle_label, "*")
+            ledger.charge(cost_key, cache_misses=1)
+            ledger.charge_stats(cost_key, payload["stats"])
+        self.cache.put("synthesis", key, payload)
+        return payload
 
     # ------------------------------------------------------------------
     # Request dispatch (the server's worker calls this)

@@ -72,6 +72,18 @@ class TestVersion:
             assert out.startswith(f"usage: repro {sub}")
             assert "-h, --help" in out
 
+    def test_synthesis_runs_one_way(self, capsys):
+        """No subcommand offers a synthesis mode or a solver, and analyze
+        has no worker pool to size."""
+        removed = ("--per-signature", "--shared-encoding", "--solver-backend")
+        for sub in ("analyze", "pipeline", "serve", "adversarial", "bench"):
+            with pytest.raises(SystemExit):
+                main([sub, "--help"])
+            out = capsys.readouterr().out
+            assert not [flag for flag in removed if flag in out], sub
+            if sub == "analyze":
+                assert "--jobs" not in out
+
 
 class TestSimulate:
     def test_attack_denied_and_audited(self, tmp_path, capsys):

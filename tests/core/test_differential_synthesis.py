@@ -1,4 +1,4 @@
-"""Differential testing: synthesis modes and solver backends.
+"""Differential testing: synthesis modes and solvers.
 
 The shared encoding (one translation per bundle, every signature
 enumerated under selector assumptions on one warm solver) is an
@@ -8,12 +8,13 @@ and the same reports -- including under a conflict budget, where both
 modes degrade by truncating each signature's canonical enumeration
 rather than by diverging.
 
-The same contract holds across *solver backends*: the flat-arena fast
-solver and the reference solver must produce byte-identical payloads in
-both modes (that identity is what justifies leaving the backend out of
-pipeline cache keys), so the mode tests here run under every registered
-backend, and ``TestBackendsAgree`` pins the full backend-by-mode matrix
-to a single payload.
+The same contract holds across *solvers*: synthesis runs on the
+flat-arena ``FastSolver``, and the reference solver, swapped in through
+the ``use_solver`` seam, must produce byte-identical payloads in both
+modes (that identity is what justifies leaving the solver out of
+pipeline cache keys).  So the mode tests here run on both solvers, and
+``TestBackendsAgree`` pins the full solver-by-mode matrix to a single
+payload.
 
 Bundles are drawn from the injected-vulnerability corpus generator under
 a fixed seed, so CI replays the exact same instances every run.
@@ -31,14 +32,13 @@ from repro.core.attack_generation import (
 )
 from repro.core.serialize import scenario_to_dict
 from repro.core.synthesis import AnalysisAndSynthesisEngine
-from repro.sat import SOLVER_BACKENDS
 from repro.statics import extract_bundle
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
 
 
 SEED = 20160807
 
-BACKENDS = sorted(SOLVER_BACKENDS)
+BACKENDS = ["fast", "reference"]
 
 
 @pytest.fixture(scope="module")
@@ -95,12 +95,13 @@ def _random_bundles(apks, flagged, count, size):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestModesAgree:
     def test_identical_scenarios_and_vulnerability_sets(
-        self, corpus, backend
+        self, corpus, backend, use_solver
     ):
         apks, flagged = corpus
+        use_solver(backend)
         for bundle in _random_bundles(apks, flagged, count=3, size=3):
-            per_sig = _run(bundle, shared=False, solver_backend=backend)
-            shared = _run(bundle, shared=True, solver_backend=backend)
+            per_sig = _run(bundle, shared=False)
+            shared = _run(bundle, shared=True)
             assert _payload(per_sig) == _payload(shared)
             assert {s.vulnerability for s in per_sig.scenarios} == {
                 s.vulnerability for s in shared.scenarios
@@ -116,52 +117,55 @@ class TestModesAgree:
             )
 
     def test_vulnerable_bundle_finds_scenarios_in_both_modes(
-        self, corpus, backend
+        self, corpus, backend, use_solver
     ):
         apks, flagged = corpus
         vulnerable = [a for a in apks if a.package in flagged]
         if not vulnerable:
             pytest.skip("corpus slice contains no injected apps")
         bundle = extract_bundle(vulnerable[:3])
-        per_sig = _run(bundle, shared=False, solver_backend=backend)
-        shared = _run(bundle, shared=True, solver_backend=backend)
+        solver = use_solver(backend)
+        per_sig = _run(bundle, shared=False)
+        engine = AnalysisAndSynthesisEngine(scenarios_per_signature=4)
+        shared = engine.run(bundle)
         assert per_sig.scenarios, "injected bundle should yield scenarios"
         assert _payload(per_sig) == _payload(shared)
-        assert per_sig.stats.backend == backend
-        assert shared.stats.backend == backend
+        # The seam really put the named solver under the synthesis.
+        assert type(engine.last_problem._solver) is solver
 
-    def test_empty_bundle_agrees(self, backend):
+    def test_empty_bundle_agrees(self, backend, use_solver):
+        use_solver(backend)
         bundle = extract_bundle([])
-        per_sig = _run(bundle, shared=False, solver_backend=backend)
-        shared = _run(bundle, shared=True, solver_backend=backend)
+        per_sig = _run(bundle, shared=False)
+        shared = _run(bundle, shared=True)
         assert _payload(per_sig) == _payload(shared)
 
 
 class TestBackendsAgree:
-    """The backend-by-mode matrix must collapse to one payload.
+    """The solver-by-mode matrix must collapse to one payload.
 
     This is the invariant that lets the pipeline cache omit the solver
-    backend from its keys: any (backend, mode) combination may serve a
-    payload cached by any other."""
+    from its keys: any (solver, mode) combination may serve a payload
+    cached by any other."""
 
-    def test_backend_mode_matrix_is_byte_identical(self, corpus):
+    def test_backend_mode_matrix_is_byte_identical(self, corpus, use_solver):
         apks, flagged = corpus
         vulnerable = [a for a in apks if a.package in flagged]
         if not vulnerable:
             pytest.skip("corpus slice contains no injected apps")
         bundle = extract_bundle(vulnerable[:3])
-        payloads = {
-            (backend, shared): _payload(
-                _run(bundle, shared=shared, solver_backend=backend)
-            )
-            for backend in BACKENDS
-            for shared in (False, True)
-        }
+        payloads = {}
+        for backend in BACKENDS:
+            use_solver(backend)
+            for shared in (False, True):
+                payloads[backend, shared] = _payload(
+                    _run(bundle, shared=shared)
+                )
         assert len(set(payloads.values())) == 1, sorted(payloads)
 
-    def test_budgeted_runs_agree_across_backends(self, corpus):
+    def test_budgeted_runs_agree_across_backends(self, corpus, use_solver):
         """Degraded (budget-exhausted) runs must also match: the exact
-        ``BudgetExhausted`` contract makes both backends truncate each
+        ``BudgetExhausted`` contract makes both solvers truncate each
         signature's enumeration at the same point."""
         apks, flagged = corpus
         vulnerable = [a for a in apks if a.package in flagged]
@@ -170,17 +174,12 @@ class TestBackendsAgree:
         bundle = extract_bundle(vulnerable[:3])
         for budget in (1, 25):
             for shared in (False, True):
-                payloads = {
-                    backend: _payload(
-                        _run(
-                            bundle,
-                            shared=shared,
-                            solver_backend=backend,
-                            conflict_budget=budget,
-                        )
+                payloads = {}
+                for backend in BACKENDS:
+                    use_solver(backend)
+                    payloads[backend] = _payload(
+                        _run(bundle, shared=shared, conflict_budget=budget)
                     )
-                    for backend in BACKENDS
-                }
                 assert len(set(payloads.values())) == 1, (budget, shared)
 
 
@@ -243,17 +242,18 @@ def scaled_bundles():
 
 
 class TestScaledSignaturesDifferential:
-    """The shared-encoding and backend identities must extend to the
+    """The shared-encoding and solver identities must extend to the
     scaled threat model: re-delegation chains, provider leaks, dynamic
     receiver hijack and collusion all enumerate under gated selectors."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_modes_agree_and_all_scaled_signatures_fire(
-        self, scaled_bundles, backend
+        self, scaled_bundles, backend, use_solver
     ):
+        use_solver(backend)
         for bundle in scaled_bundles:
-            per_sig = _run(bundle, shared=False, solver_backend=backend)
-            shared = _run(bundle, shared=True, solver_backend=backend)
+            per_sig = _run(bundle, shared=False)
+            shared = _run(bundle, shared=True)
             assert _payload(per_sig) == _payload(shared)
             found = {s.vulnerability for s in shared.scenarios}
             assert set(SCALED_SIGNATURES) <= found, (
@@ -261,15 +261,17 @@ class TestScaledSignaturesDifferential:
                 f"missing {set(SCALED_SIGNATURES) - found}"
             )
 
-    def test_backend_mode_matrix_on_scaled_bundle(self, scaled_bundles):
+    def test_backend_mode_matrix_on_scaled_bundle(
+        self, scaled_bundles, use_solver
+    ):
         bundle = scaled_bundles[0]
-        payloads = {
-            (backend, shared): _payload(
-                _run(bundle, shared=shared, solver_backend=backend)
-            )
-            for backend in BACKENDS
-            for shared in (False, True)
-        }
+        payloads = {}
+        for backend in BACKENDS:
+            use_solver(backend)
+            for shared in (False, True):
+                payloads[backend, shared] = _payload(
+                    _run(bundle, shared=shared)
+                )
         assert len(set(payloads.values())) == 1, sorted(payloads)
 
     def test_budget_prefix_semantics_on_scaled_bundle(self, scaled_bundles):

@@ -15,6 +15,7 @@ from repro.benchsuite.running_example import (
 )
 from repro.dex import DexClass, DexProgram, MethodBuilder
 from repro.enforcement import AndroidRuntime, RuntimeIntent
+from repro.enforcement import runtime as runtime_mod
 from repro.enforcement.hooks import HookManager, MethodCall
 from repro.enforcement.runtime import Tagged, taints_of
 
@@ -412,3 +413,78 @@ class TestBroadcast:
         rt._send_icc("d/Main", "Context.sendBroadcast", intent)
         rt._drain()
         assert rt.effects_of_kind("log")
+
+
+class TestDispatchBudget:
+    """The ICC dispatch budget bounds one activation, not the runtime's
+    lifetime, so a long-lived runtime keeps serving activations."""
+
+    @staticmethod
+    def _broadcaster(name, superclass, entry, action):
+        return DexClass(
+            name,
+            superclass=superclass,
+            methods=[
+                MethodBuilder(entry, params=("p0",))
+                .new_instance("v0", "Intent")
+                .const_string("v1", action)
+                .invoke("Intent.setAction", receiver="v0", args=("v1",))
+                .invoke("Context.sendBroadcast", args=("v0",))
+                .ret()
+                .build()
+            ],
+        )
+
+    @pytest.fixture
+    def rt(self, monkeypatch):
+        monkeypatch.setattr(runtime_mod, "_MAX_DISPATCH", 5)
+        classes = [
+            self._broadcaster("Main", "Activity", "onCreate", "ping"),
+            self._broadcaster("Storm", "Activity", "onCreate", "echo"),
+            DexClass(
+                "Recv",
+                superclass="BroadcastReceiver",
+                methods=[
+                    MethodBuilder("onReceive", params=("p0",)).ret().build()
+                ],
+            ),
+            # Echo re-broadcasts what it hears: an endless chain.
+            self._broadcaster(
+                "Echo", "BroadcastReceiver", "onReceive", "echo"
+            ),
+        ]
+        components = [
+            ComponentDecl("Main", ComponentKind.ACTIVITY),
+            ComponentDecl("Storm", ComponentKind.ACTIVITY),
+            ComponentDecl(
+                "Recv",
+                ComponentKind.RECEIVER,
+                intent_filters=[IntentFilter.for_action("ping")],
+            ),
+            ComponentDecl(
+                "Echo",
+                ComponentKind.RECEIVER,
+                intent_filters=[IntentFilter.for_action("echo")],
+            ),
+        ]
+        rt = AndroidRuntime()
+        rt.install(
+            Apk(
+                Manifest(package="b", components=components),
+                DexProgram(classes),
+            )
+        )
+        return rt
+
+    def test_many_short_activations_pass(self, rt):
+        # Two dispatches each: twenty in all against a budget of five.
+        for _ in range(10):
+            rt.start_component("b/Main")
+        assert len(rt.effects_of_kind("icc_delivered")) == 10
+
+    def test_runaway_activation_raises_and_the_next_one_runs(self, rt):
+        with pytest.raises(RuntimeError, match="dispatch budget exceeded"):
+            rt.start_component("b/Storm")
+        delivered = len(rt.effects_of_kind("icc_delivered"))
+        rt.start_component("b/Main")
+        assert len(rt.effects_of_kind("icc_delivered")) == delivered + 1

@@ -1,9 +1,12 @@
 """Tests for the content-addressed pipeline cache."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
+import repro
 from repro.benchsuite.running_example import build_app1, build_app2
 from repro.pipeline import cache as cache_mod
 from repro.pipeline.cache import (
@@ -145,19 +148,56 @@ class TestCanonicalKeyTypes:
         assert len(seen) == 4
 
 
-class TestFrameworkFingerprintCoverage:
-    """Regression: the fingerprint used to omit ``repro.sat.fastsolver``
-    (the default backend), ``repro.sat.tseitin`` and ``repro.sat.cnf`` --
-    editing any of them silently served stale synthesis entries."""
+def _import_closure(*roots):
+    """The ``repro.*`` modules ``roots`` import, transitively.
 
-    REQUIRED = [
-        "repro.sat.cnf",
-        "repro.sat.fastsolver",
-        "repro.sat.solver",
-        "repro.sat.tseitin",
-        "repro.relational.translate",
-        "repro.core.synthesis",
-    ]
+    Read from source with ``ast``, so lazy imports inside functions count
+    too.  ``from pkg import name`` counts ``pkg`` (its ``__init__`` runs)
+    and ``pkg.name`` when that is a module.  ``repro.obs`` is left out:
+    instrumentation never feeds cached outputs.
+    """
+    src = pathlib.Path(repro.__file__).parent.parent
+
+    def source(name):
+        path = src.joinpath(*name.split("."))
+        for candidate in (path / "__init__.py", path.with_suffix(".py")):
+            if candidate.exists():
+                return candidate
+        return None
+
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse(source(name).read_text())):
+            if isinstance(node, ast.Import):
+                found = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                found = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            todo.extend(
+                module
+                for module in found
+                if module.startswith("repro.")
+                and module.split(".")[1] != "obs"
+                and source(module) is not None
+            )
+    return sorted(seen)
+
+
+class TestFrameworkFingerprintCoverage:
+    """Every module the extraction and synthesis workers import must
+    rotate the fingerprint when its source changes.  A hand list used to
+    drift: it missed the SAT substrate, then the meta-model, most of
+    ``repro.statics`` and the newer signatures, and editing any of them
+    silently served stale entries."""
+
+    REQUIRED = _import_closure("repro.statics", "repro.core.synthesis")
 
     @pytest.mark.parametrize("module_name", REQUIRED)
     def test_fingerprint_changes_when_module_source_changes(

@@ -124,21 +124,19 @@ class TestCaching:
         assert warm.run_report.cache.misses.get("synthesis", 0) == 0
         assert warm.run_report.cache.hits.get("synthesis", 0) > 0
 
-    def test_cache_hits_across_solver_backends(self, tmp_path):
-        """Cache keys omit the solver backend on purpose: backends are
-        verified byte-identical, so an entry written by one backend must
-        be served -- unchanged -- to a run using the other."""
+    def test_cache_hits_across_solver_backends(self, tmp_path, use_solver):
+        """Cache keys name no solver: the solvers are verified
+        byte-identical, so an entry written by a run on the reference
+        solver must be served -- unchanged -- to a run on FastSolver."""
         apks = [build_app1(), build_app2()]
-        cold = AnalysisPipeline(
-            jobs=1,
-            cache=PipelineCache(tmp_path),
-            solver_backend="reference",
-        ).run([apks])
-        warm = AnalysisPipeline(
-            jobs=1,
-            cache=PipelineCache(tmp_path),
-            solver_backend="fast",
-        ).run([apks])
+        use_solver("reference")
+        cold = AnalysisPipeline(jobs=1, cache=PipelineCache(tmp_path)).run(
+            [apks]
+        )
+        use_solver("fast")
+        warm = AnalysisPipeline(jobs=1, cache=PipelineCache(tmp_path)).run(
+            [apks]
+        )
         assert warm.run_report.cache.total_misses == 0
         assert warm.run_report.cache.total_hits == (
             cold.run_report.cache.total_misses
@@ -234,18 +232,3 @@ class TestCli:
         assert report.num_bundles > 0
         findings = json.loads(findings_path.read_text())
         assert len(findings["bundles"]) == report.num_bundles
-
-    def test_analyze_jobs_flag(self, tmp_path, capsys):
-        from repro.cli import main
-
-        paths = []
-        from repro.statics import extract_app
-
-        for apk in (build_app1(), build_app2()):
-            model = extract_app(apk)
-            path = tmp_path / f"{model.package}.json"
-            path.write_text(serialize.dumps_app(model))
-            paths.append(str(path))
-        assert main(["analyze", *paths, "--scenarios", "2", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "bundle:" in out

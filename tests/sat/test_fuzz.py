@@ -1,4 +1,4 @@
-"""Differential fuzzing of the CDCL solver backends against an oracle.
+"""Differential fuzzing of the two CDCL solvers against an oracle.
 
 Seeded random-CNF instances keep CI deterministic: the generator is
 parameterized by an explicit seed (override with ``REPRO_FUZZ_SEED`` to
@@ -6,8 +6,8 @@ explore), the instances stay small enough (<= 12 variables) that a full
 truth-table enumeration is the oracle, and every discrepancy message
 carries the seed/instance needed to replay it.
 
-Every instance runs against *both* registered backends (the reference
-object-graph solver and the flat-arena fast solver), from three angles
+Every instance runs against *both* solvers (the reference object-graph
+solver and the flat-arena ``FastSolver``), from three angles
 matching how the synthesis engine drives them:
 
 - plain satisfiability + model soundness,
@@ -27,13 +27,14 @@ import random
 
 import pytest
 
-from repro.sat import SOLVER_BACKENDS, BudgetExhausted, Solver, make_solver
+from repro.sat import BudgetExhausted, FastSolver, Solver
 
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20160807"))
 ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "60"))
 
-BACKENDS = sorted(SOLVER_BACKENDS)
+SOLVERS = {"reference": Solver, "fast": FastSolver}
+BACKENDS = sorted(SOLVERS)
 
 
 def random_cnf(rng, num_vars, num_clauses, max_width=3):
@@ -86,7 +87,7 @@ class TestRandomCnf:
     ):
         rng = random.Random(seed)
         clauses = random_cnf(rng, num_vars, num_clauses)
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         ok = True
         for clause in clauses:
             ok = solver.add_clause(clause) and ok
@@ -107,7 +108,7 @@ class TestRandomCnf:
     ):
         rng = random.Random(seed)
         clauses = random_cnf(rng, num_vars, num_clauses)
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         if not all(solver.add_clause(cl) for cl in clauses):
             pytest.skip("top-level UNSAT: no assumption query to make")
         for _ in range(4):
@@ -136,7 +137,7 @@ class TestRandomCnf:
         the shared encoding relies on)."""
         rng = random.Random(seed)
         clauses = random_cnf(rng, num_vars, num_clauses)
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         if not all(solver.add_clause(cl) for cl in clauses):
             pytest.skip("top-level UNSAT")
         baseline = brute_force(clauses, num_vars)
@@ -189,7 +190,7 @@ class TestTrailSavingSequences:
         rng = random.Random(seed)
         num_vars = rng.randint(4, 10)
         clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
-        solver = make_solver("fast")
+        solver = FastSolver()
         if not all(solver.add_clause(cl) for cl in clauses):
             pytest.skip("top-level UNSAT")
         prefix = [
@@ -246,7 +247,7 @@ class TestBudgetContract:
     def _hard_instance(backend):
         # Pigeonhole-flavored instance: enough conflicts to trip small
         # budgets deterministically.
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         holes = 4
         var = lambda p, h: p * holes + h + 1  # noqa: E731
         for p in range(holes + 1):
@@ -271,7 +272,7 @@ class TestBudgetContract:
         assert not solver.solve().satisfiable
 
     def test_generous_budget_is_not_tripped(self, backend):
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         solver.add_clause([1])
         result = solver.solve(conflict_budget=10)
         assert result.satisfiable
@@ -288,7 +289,7 @@ class TestModelAssignedOnly:
     variable count."""
 
     def test_unassigned_vars_read_false_but_are_absent(self, backend):
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         solver.add_clause([1, 2])
         solver.ensure_var(5000)
         result = solver.solve(assumptions=[1])
@@ -301,7 +302,7 @@ class TestModelAssignedOnly:
         assert isinstance(model[4999], bool)
 
     def test_model_iteration_is_assigned_only(self, backend):
-        solver = make_solver(backend)
+        solver = SOLVERS[backend]()
         solver.add_clause([1])
         result = solver.solve()
         assert result.satisfiable

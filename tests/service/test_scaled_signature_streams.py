@@ -110,11 +110,10 @@ class TestAdversarialStream:
         assert session.warm_hits >= 1
 
     @pytest.mark.parametrize("solver", ["fast", "reference"])
-    def test_backends_agree_warm(self, adversarial, solver):
+    def test_backends_agree_warm(self, adversarial, solver, use_solver):
         apps, _ = adversarial
-        config = SessionConfig(
-            scenarios_per_signature=4, solver_backend=solver
-        )
+        use_solver(solver)
+        config = SessionConfig(scenarios_per_signature=4)
         session = DeviceSession(f"adv-{solver}", config=config)
         for app in apps:
             session.install(serialize.app_to_dict(app))

@@ -3,7 +3,8 @@
 Replays seeded install/update/uninstall/grant/revoke streams through live
 sessions and asserts every synthesis-backed answer -- scenarios, policy
 sets, vulnerability findings -- is byte-identical to a fresh cold run of
-the same composition, across both solver backends and both PDP backends.
+the same composition, on both solvers (the reference one swapped in
+through the ``use_solver`` seam) and both PDP backends.
 Audit sequences are compared the same way: the session's decide stream
 must equal a fresh PDP replaying the identical events under the same
 policies.  One default-configuration stream also goes through the real
@@ -145,10 +146,9 @@ CONFIG_MATRIX = [
 
 class TestStreamDifferential:
     @pytest.mark.parametrize("solver,pdp", CONFIG_MATRIX)
-    def test_running_example_stream(self, apps, solver, pdp):
-        config = SessionConfig(
-            scenarios_per_signature=2, solver_backend=solver, pdp_backend=pdp
-        )
+    def test_running_example_stream(self, apps, solver, pdp, use_solver):
+        use_solver(solver)
+        config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
         session = DeviceSession("diff", config=config)
         stream = seeded_stream(apps, seed=7, events=10)
         assert_stream_differential(session, stream, config)
@@ -163,10 +163,9 @@ class TestStreamDifferential:
         assert_stream_differential(session, stream, config)
 
     @pytest.mark.parametrize("solver,pdp", CONFIG_MATRIX)
-    def test_policy_sets_identical(self, apps, solver, pdp):
-        config = SessionConfig(
-            scenarios_per_signature=2, solver_backend=solver, pdp_backend=pdp
-        )
+    def test_policy_sets_identical(self, apps, solver, pdp, use_solver):
+        use_solver(solver)
+        config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
         session = DeviceSession("pol", config=config)
         for app in apps:
             session.install(serialize.app_to_dict(app))
@@ -176,16 +175,15 @@ class TestStreamDifferential:
 
 
 class TestBackendAgreement:
-    def test_all_four_combos_agree_on_findings(self, apps):
-        """Solver and PDP backends are performance knobs, never result
-        knobs: every combo produces one identical findings bundle."""
+    def test_all_four_combos_agree_on_findings(self, apps, use_solver):
+        """The solver and the PDP backend never change results: every
+        combo produces one identical findings bundle."""
         bundles = set()
         for solver in ("fast", "reference"):
+            use_solver(solver)
             for pdp in ("compiled", "linear"):
                 config = SessionConfig(
-                    scenarios_per_signature=2,
-                    solver_backend=solver,
-                    pdp_backend=pdp,
+                    scenarios_per_signature=2, pdp_backend=pdp
                 )
                 session = DeviceSession(f"{solver}-{pdp}", config=config)
                 for app in apps:

@@ -11,6 +11,8 @@ from repro.benchsuite.running_example import (
 )
 from repro.core import serialize
 from repro.core.separ import Separ
+from repro.pipeline import AnalysisPipeline
+from repro.pipeline.cache import MemoryCache
 from repro.service.protocol import ProtocolError
 from repro.service.session import (
     DeviceSession,
@@ -234,11 +236,7 @@ class TestColdComparator:
         from repro.core.model import BundleModel
 
         bundle = BundleModel(apps=sorted(apps, key=lambda a: a.package))
-        separ = Separ(
-            scenarios_per_signature=CONFIG.scenarios_per_signature,
-            shared_encoding=CONFIG.shared_encoding,
-            solver_backend=CONFIG.solver_backend,
-        )
+        separ = Separ(scenarios_per_signature=CONFIG.scenarios_per_signature)
         assert canon(cold_analysis(apps, CONFIG)) == canon(
             findings_bundle(separ.analyze_bundle(bundle))
         )
@@ -247,3 +245,52 @@ class TestColdComparator:
         assert canon(cold_analysis(apps, CONFIG)) == canon(
             cold_analysis(list(reversed(apps)), CONFIG)
         )
+
+
+class TestPipelineKeyAgreement:
+    """Session and pipeline key synthesis entries the same way, so an
+    entry either one writes answers the other without solving."""
+
+    @staticmethod
+    def _session(app_dicts, apps, cache):
+        session = DeviceSession("d", config=CONFIG, cache=cache)
+        for app in apps:
+            session.install(app_dicts[app.package])
+        # A revoked grant makes the effective composition differ from the
+        # extracted apps.
+        session.revoke(apps[1].package, sorted(apps[1].uses_permissions)[0])
+        return session
+
+    @staticmethod
+    def _pipeline(cache):
+        return AnalysisPipeline(
+            jobs=1,
+            cache=cache,
+            scenarios_per_signature=CONFIG.scenarios_per_signature,
+        )
+
+    def test_session_answers_from_pipeline_entries(self, app_dicts, apps):
+        cache = MemoryCache()
+        session = self._session(app_dicts, apps, cache)
+        cold = self._pipeline(cache).analyze_bundles(
+            [session.current_bundle()]
+        )
+        warm = session.analyze()
+        assert session.syntheses == 0
+        assert session.warm_hits == 1
+        assert canon(warm) == canon(cold.findings_dict()["bundles"][0])
+
+    def test_pipeline_answers_from_session_entries(self, app_dicts, apps):
+        cache = MemoryCache()
+        session = self._session(app_dicts, apps, cache)
+        cold = session.analyze()
+        assert session.syntheses == 1
+        # The accounting belongs to the shared cache: the session's one
+        # miss is already in it.
+        assert cache.accounting.misses == {"synthesis": 1}
+        warm = self._pipeline(cache).analyze_bundles(
+            [session.current_bundle()]
+        )
+        assert cache.accounting.misses == {"synthesis": 1}
+        assert cache.accounting.hits == {"synthesis": 1}
+        assert canon(warm.findings_dict()["bundles"][0]) == canon(cold)
