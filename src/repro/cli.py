@@ -28,8 +28,6 @@ Usage (``python -m repro <command>``):
   solver's live counters.
 - ``export-metrics REPORT``     -- render the metrics snapshot inside a
   pipeline run report as Prometheus text exposition format.
-- ``serve-metrics REPORT``      -- serve that same exposition on a local
-  HTTP endpoint (``GET /metrics``) for a Prometheus scraper.
 - ``serve``                     -- run the long-lived policy service: one
   warm analysis session per device over line-delimited JSON (TCP, or a
   UNIX socket with ``--socket``); install/uninstall streams are answered
@@ -128,12 +126,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        enable_cost_ledger,
-        enable_metrics,
-        enable_progress,
-        enable_tracing,
-    )
+    from repro.obs import enable_cost_ledger, enable_metrics, enable_tracing
     from repro.pipeline import (
         AnalysisPipeline,
         FaultPolicy,
@@ -157,10 +150,15 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         os.close(fd)
         ephemeral_trace = True
     if trace_path:
-        # Truncate any previous trace, then append (workers inherit the
-        # REPRO_TRACE environment variable and append to the same file).
+        # Truncate any previous trace, then append (pipeline tasks carry
+        # the path to their workers, which append to the same file).
         pathlib.Path(trace_path).write_text("")
-        enable_tracing(trace_path)
+        enable_tracing(
+            trace_path,
+            heartbeat_interval=(
+                max(1, args.progress_interval) if args.watch else 0
+            ),
+        )
     enable_metrics()
     enable_cost_ledger()
 
@@ -168,7 +166,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     if args.watch:
         from repro.obs import HeartbeatMonitor
 
-        enable_progress(interval=args.progress_interval)
         watch_logger = logging.getLogger("repro.watch")
         if not logging.getLogger().handlers and not watch_logger.handlers:
             # --watch implies visible heartbeats even when --log-level was
@@ -420,8 +417,8 @@ def _load_metrics_snapshot(report_path: str) -> dict:
     snapshot = data.get("metrics", data) if isinstance(data, dict) else {}
     if not snapshot:
         raise ValueError(
-            "no metrics in report (run `repro pipeline` with REPRO_METRICS=1 "
-            "or rely on its default metrics collection, then --report)"
+            "no metrics in report (write one with `repro pipeline "
+            "--report`, which always collects metrics)"
         )
     snapshot = dict(snapshot)
     if isinstance(data, dict) and "metrics" in data and data.get("cost"):
@@ -445,32 +442,6 @@ def _cmd_export_metrics(args: argparse.Namespace) -> int:
         print(f"wrote {len(text.splitlines())} exposition lines to {args.output}")
     else:
         print(text, end="")
-    return 0
-
-
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import make_metrics_server
-
-    def provider() -> dict:
-        # Re-read per scrape, so a report refreshed by a new pipeline run
-        # is served without restarting.
-        return _load_metrics_snapshot(args.report)
-
-    try:
-        provider()  # fail fast on an unreadable report
-    except (OSError, ValueError) as exc:
-        print(f"repro serve-metrics: {exc}", file=sys.stderr)
-        return 1
-    server = make_metrics_server(provider, host=args.host, port=args.port)
-    host, port = server.server_address[:2]
-    print(f"serving Prometheus metrics on http://{host}:{port}/metrics")
-    print("(Ctrl-C to stop)")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
     return 0
 
 
@@ -1085,29 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the exposition here (default: stdout)",
     )
     export_metrics.set_defaults(func=_cmd_export_metrics)
-
-    serve_metrics = sub.add_parser(
-        "serve-metrics",
-        help="serve a run report's metrics on a local /metrics endpoint",
-        description=(
-            "Serve the metrics snapshot inside a run report as Prometheus "
-            "text exposition on GET /metrics (stdlib HTTP server, no "
-            "dependencies).  The report file is re-read on every scrape."
-        ),
-    )
-    serve_metrics.add_argument(
-        "report", help="run-report JSON (or bare metrics snapshot JSON)"
-    )
-    serve_metrics.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: %(default)s)"
-    )
-    serve_metrics.add_argument(
-        "--port",
-        type=int,
-        default=9464,
-        help="bind port (default: %(default)s; 0 picks a free port)",
-    )
-    serve_metrics.set_defaults(func=_cmd_serve_metrics)
 
     serve = sub.add_parser(
         "serve",

@@ -5,17 +5,16 @@ Four pillars, all zero-cost when disabled:
 - :mod:`repro.obs.trace` -- nestable wall-clock spans emitted as JSONL
   events.  The global tracer defaults to a no-op; enable it with
   :func:`enable_tracing` (or the ``REPRO_TRACE`` environment variable,
-  which worker processes inherit so spans from a parallel pipeline run
-  land in the same file).
+  read once at import, for commands that install no tracer themselves).
 - :mod:`repro.obs.metrics` -- a registry of counters, gauges and
   histograms that the SAT solver, the static analyses, the cache and the
   pipeline executor publish into.  Defaults to a no-op registry; enable
   with :func:`enable_metrics`.
-- :mod:`repro.obs.progress` -- live solver progress snapshots published
-  into a lock-free ring buffer and (through the tracer) as heartbeat
-  lines in the trace file, tailed by :class:`HeartbeatMonitor` for the
-  ``repro pipeline --watch`` view.  Defaults to a no-op bus; enable with
-  :func:`enable_progress` (or ``REPRO_PROGRESS``).
+- :mod:`repro.obs.progress` -- live solver progress snapshots, written by
+  the tracer as heartbeat lines in the trace file every
+  ``heartbeat_interval`` conflicts (an argument of :func:`enable_tracing`,
+  or ``REPRO_PROGRESS``), and tailed by :class:`HeartbeatMonitor` for the
+  ``repro pipeline --watch`` view.
 - :mod:`repro.obs.view` / :mod:`repro.obs.export` -- rendering and
   standard-format export: span trees and hotspot tables for ``repro
   trace``, Chrome trace-event JSON for Perfetto, Prometheus text
@@ -25,6 +24,11 @@ A fifth pillar rides on the tracer's trace ids: :mod:`repro.obs.cost`,
 a ledger attributing metered work (solver conflicts, cache traffic, PDP
 cache hits, wall-clock) to ``(trace_id, device, bundle, signature)``
 accounts.  Defaults to a no-op; enable with :func:`enable_cost_ledger`.
+
+Pipeline worker processes get tracing, heartbeats and metrics from the
+telemetry envelope each task carries (see
+:mod:`repro.pipeline.executor`), never from the environment, so they
+behave the same whether the pool forks or spawns.
 
 Instrumentation never feeds cache keys (tracer/registry/ledger state is
 not part of any content hash) and never touches analysis outputs, so
@@ -52,7 +56,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import (
-    METRICS_ENV,
     NULL_METRICS,
     Counter,
     Gauge,
@@ -63,21 +66,11 @@ from repro.obs.metrics import (
     get_metrics,
     set_metrics,
 )
-from repro.obs.progress import (
-    DEFAULT_INTERVAL,
-    NULL_PROGRESS,
-    PROGRESS_ENV,
-    HeartbeatMonitor,
-    NullProgressBus,
-    ProgressBus,
-    ProgressRing,
-    ProgressSnapshot,
-    enable_progress,
-    get_progress,
-    set_progress,
-)
+from repro.obs.progress import HeartbeatMonitor, ProgressSnapshot
 from repro.obs.trace import (
+    DEFAULT_INTERVAL,
     NULL_TRACER,
+    PROGRESS_ENV,
     TRACE_ENV,
     InMemoryTracer,
     JsonlTracer,
@@ -109,20 +102,15 @@ __all__ = [
     "Histogram",
     "InMemoryTracer",
     "JsonlTracer",
-    "METRICS_ENV",
     "MetricsRegistry",
     "NULL_COST_LEDGER",
     "NULL_METRICS",
-    "NULL_PROGRESS",
     "NULL_TRACER",
     "NullCostLedger",
     "NullMetricsRegistry",
-    "NullProgressBus",
     "NullTracer",
     "PROGRESS_ENV",
     "PROMETHEUS_CONTENT_TYPE",
-    "ProgressBus",
-    "ProgressRing",
     "ProgressSnapshot",
     "SpanRecord",
     "TRACE_ENV",
@@ -136,11 +124,9 @@ __all__ = [
     "current_trace_id",
     "enable_cost_ledger",
     "enable_metrics",
-    "enable_progress",
     "enable_tracing",
     "get_cost_ledger",
     "get_metrics",
-    "get_progress",
     "get_tracer",
     "make_metrics_server",
     "new_trace_id",
@@ -152,7 +138,6 @@ __all__ = [
     "sanitize_metric_name",
     "set_cost_ledger",
     "set_metrics",
-    "set_progress",
     "set_tracer",
     "span",
     "write_chrome_trace",

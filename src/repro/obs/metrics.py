@@ -5,12 +5,10 @@ conflicts/decisions/propagations, the static analyses their CFG/call-graph
 /taint sizes, the cache its hits and misses, the pipeline executor its
 task counts.  The registry is thread-safe (instrument creation is locked;
 updates touch per-instrument state under the GIL-atomic operations used
-below) and process-local: pipeline worker processes collect into their
-own registry and ship per-task :meth:`MetricsRegistry.snapshot` deltas
-back with their results, which the parent folds in with
-:meth:`MetricsRegistry.merge`.  Workers activate collection through the
-``REPRO_METRICS`` environment variable (checked once at import), which
-they inherit from the parent whether the pool forks or spawns.
+below) and process-local: each pipeline task runs under a fresh registry
+(when the dispatching parent collects) and ships its
+:meth:`MetricsRegistry.snapshot` back with its result, which the parent
+folds in with :meth:`MetricsRegistry.merge`.
 
 The default registry is :data:`NULL_METRICS`: every instrument method is
 a no-op on a shared singleton, so disabled instrumentation costs one
@@ -20,14 +18,9 @@ method call and records nothing.  Enable collection with
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-#: Environment variable activating metrics collection; set before a run
-#: (``enable_metrics`` does this) so pipeline worker processes collect too.
-METRICS_ENV = "REPRO_METRICS"
 
 
 class Counter:
@@ -348,12 +341,6 @@ class NullMetricsRegistry(MetricsRegistry):
 NULL_METRICS = NullMetricsRegistry()
 _metrics: MetricsRegistry = NULL_METRICS
 
-# Worker processes inherit REPRO_METRICS from the parent; activating here
-# at import means spawn-mode workers (fresh interpreters) collect metrics
-# without any explicit plumbing through the process pool.
-if os.environ.get(METRICS_ENV):
-    _metrics = MetricsRegistry()
-
 
 def get_metrics() -> MetricsRegistry:
     return _metrics
@@ -368,9 +355,8 @@ def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 def enable_metrics() -> MetricsRegistry:
-    """Install (and return) a fresh collecting registry, here and in
-    pipeline worker processes."""
-    return_value = MetricsRegistry()
-    set_metrics(return_value)
-    os.environ[METRICS_ENV] = "1"
-    return return_value
+    """Install (and return) a fresh collecting registry.  Pipeline tasks
+    collect into registries of their own and report back to it."""
+    registry = MetricsRegistry()
+    set_metrics(registry)
+    return registry

@@ -1,49 +1,29 @@
-"""Live solver progress telemetry: snapshots, ring buffer, heartbeats.
+"""Live solver progress telemetry: snapshots and heartbeat tailing.
 
 A long CDCL solve is opaque from the outside: the pipeline's timeout
 machinery can kill it, but cannot tell a solver that is *stuck* (no
 conflicts happening, e.g. hung I/O) from one that is *slow* (conflicts
-ticking away on a hard instance).  This module gives the solver a place
-to publish periodic :class:`ProgressSnapshot`\\ s -- conflicts, rates,
-restarts, learned-DB size, trail depth, budget headroom -- and gives
-observers two ways to read them:
+ticking away on a hard instance).  The solver therefore publishes periodic
+:class:`ProgressSnapshot`\\ s -- conflicts, rates, restarts, learned-DB
+size, trail depth, budget headroom -- through the active tracer
+(:meth:`~repro.obs.trace.Tracer.heartbeat`), every
+``heartbeat_interval`` conflicts.  They land as ``{"event": "progress",
+...}`` heartbeat lines in the JSONL trace file (the same ``O_APPEND``
+channel pipeline worker spans use), which :class:`HeartbeatMonitor`
+tails for the ``repro pipeline --watch`` live view.
 
-- in-process, through a lock-free :class:`ProgressRing` (single writer --
-  the solving thread -- many readers; readers may miss overwritten
-  entries but never block the solver);
-- across process boundaries, as ``{"event": "progress", ...}`` heartbeat
-  lines appended to the active JSONL trace file (the same ``O_APPEND``
-  channel pipeline worker spans use), which :class:`HeartbeatMonitor`
-  tails for the ``repro pipeline --watch`` live view.
-
-Publication is governed by the global :class:`ProgressBus`.  The default
-bus is :data:`NULL_PROGRESS`: disabled, interval ``0``, publishing
-nothing -- the solver's only cost is one integer test per conflict.
-Enable with :func:`enable_progress` or the ``REPRO_PROGRESS`` environment
-variable (the sampling interval in conflicts; pipeline workers inherit
-it, so their solves heartbeat into the shared trace file too).
+The default tracer has interval ``0`` and publishes nothing: the solver's
+only cost is one integer test per conflict.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.obs.trace import current_trace_context, get_tracer
-
-#: Environment variable activating progress publication.  Its value is the
-#: sampling interval in conflicts ("1" or a bare truthy value means the
-#: default interval).  Worker processes inherit it from the parent.
-PROGRESS_ENV = "REPRO_PROGRESS"
-
-#: Sample every this-many conflicts unless configured otherwise: frequent
-#: enough to watch a live solve, rare enough to cost nothing measurable.
-DEFAULT_INTERVAL = 256
+from typing import Any, Dict, List, Optional
 
 
 @dataclass
@@ -93,160 +73,6 @@ class ProgressSnapshot:
             conflicts_per_sec=data.get("conflicts_per_sec", 0.0),
             budget_remaining=data.get("budget_remaining"),
         )
-
-
-class ProgressRing:
-    """A fixed-capacity, lock-free publish ring (single writer).
-
-    The writer stores into ``items[seq % capacity]`` and then advances
-    ``seq``; both are plain attribute operations, atomic under the GIL, so
-    the solving thread never takes a lock.  Readers snapshot ``seq`` first
-    and accept that entries more than ``capacity`` behind it have been
-    overwritten -- :meth:`read_since` reports how many were dropped
-    instead of pretending completeness.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacity must be positive")
-        self._items: List[Optional[ProgressSnapshot]] = [None] * capacity
-        self._seq = 0  # next sequence number to be written
-
-    @property
-    def capacity(self) -> int:
-        return len(self._items)
-
-    @property
-    def seq(self) -> int:
-        """Total snapshots ever published (monotone)."""
-        return self._seq
-
-    def publish(self, item: ProgressSnapshot) -> None:
-        seq = self._seq
-        self._items[seq % len(self._items)] = item
-        # The store above must be visible before the sequence advances;
-        # CPython's GIL orders these two statements for every reader.
-        self._seq = seq + 1
-
-    def latest(self) -> Optional[ProgressSnapshot]:
-        seq = self._seq
-        if seq == 0:
-            return None
-        return self._items[(seq - 1) % len(self._items)]
-
-    def read_since(
-        self, cursor: int
-    ) -> Tuple[int, int, List[ProgressSnapshot]]:
-        """Entries published at sequence >= ``cursor``.
-
-        Returns ``(new_cursor, dropped, items)``: pass ``new_cursor`` to
-        the next call; ``dropped`` counts entries overwritten before this
-        reader got to them (0 when keeping up).  Items are oldest-first.
-        """
-        seq = self._seq
-        if cursor >= seq:
-            return seq, 0, []
-        capacity = len(self._items)
-        oldest = max(cursor, seq - capacity)
-        dropped = oldest - cursor
-        items = []
-        for i in range(oldest, seq):
-            item = self._items[i % capacity]
-            if item is not None:
-                items.append(item)
-        return seq, dropped, items
-
-
-class ProgressBus:
-    """The publication fan-out: ring buffer + heartbeat events.
-
-    ``interval`` is the sampling period in conflicts; the solver consults
-    it once per :meth:`~repro.sat.solver.Solver.solve` call.  Each
-    published snapshot lands in the in-process ring and -- when the active
-    tracer persists events (a ``JsonlTracer``) -- as one heartbeat line in
-    the trace file, where cross-process observers can tail it.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        interval: int = DEFAULT_INTERVAL,
-        capacity: int = 256,
-        emit_events: bool = True,
-    ) -> None:
-        self.interval = max(1, int(interval))
-        self.ring = ProgressRing(capacity)
-        self.emit_events = emit_events
-
-    def publish(self, snapshot: ProgressSnapshot) -> None:
-        self.ring.publish(snapshot)
-        if self.emit_events:
-            payload = snapshot.to_dict()
-            # Tag heartbeats with the ambient trace context so a watcher
-            # can attribute a worker's solve to the run/request (and the
-            # dispatch span) that caused it.
-            ctx = current_trace_context()
-            if ctx is not None:
-                payload["trace_id"] = ctx.trace_id
-                if ctx.span_id is not None:
-                    payload["span_id"] = ctx.span_id
-            get_tracer().emit_event(payload)
-
-
-class NullProgressBus(ProgressBus):
-    """The disabled bus: interval 0, publishes nothing, allocates nothing."""
-
-    enabled = False
-    interval = 0
-
-    def __init__(self) -> None:
-        pass
-
-    def publish(self, snapshot: ProgressSnapshot) -> None:
-        return None
-
-
-NULL_PROGRESS = NullProgressBus()
-_progress: ProgressBus = NULL_PROGRESS
-
-
-def _interval_from_env(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return parsed if parsed > 0 else DEFAULT_INTERVAL
-
-
-# Worker processes inherit REPRO_PROGRESS from the parent; activating here
-# at import means their solves heartbeat without explicit plumbing through
-# the process pool (same pattern as REPRO_TRACE / REPRO_METRICS).
-_env_value = os.environ.get(PROGRESS_ENV)
-if _env_value:
-    _progress = ProgressBus(interval=_interval_from_env(_env_value))
-del _env_value
-
-
-def get_progress() -> ProgressBus:
-    return _progress
-
-
-def set_progress(bus: ProgressBus) -> ProgressBus:
-    """Install ``bus`` globally; returns the previous bus."""
-    global _progress
-    previous = _progress
-    _progress = bus
-    return previous
-
-
-def enable_progress(interval: int = DEFAULT_INTERVAL) -> ProgressBus:
-    """Install (and return) a live progress bus, here and in pipeline
-    worker processes (via the environment)."""
-    bus = ProgressBus(interval=interval)
-    set_progress(bus)
-    os.environ[PROGRESS_ENV] = str(bus.interval)
-    return bus
 
 
 # ----------------------------------------------------------------------

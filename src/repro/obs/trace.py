@@ -9,10 +9,14 @@ spans become single-line JSON events.
 Process safety: every event is written as one ``os.write`` of a complete
 line to a file descriptor opened with ``O_APPEND``, which POSIX keeps
 atomic for writes of this size -- so the pipeline's worker processes can
-all append to the same trace file without interleaving.  Workers activate
-tracing through the ``REPRO_TRACE`` environment variable (checked once at
-import), which they inherit from the parent no matter whether the pool
-forks or spawns.
+all append to the same trace file without interleaving.  Workers learn
+the file (and the heartbeat interval) from the telemetry envelope each
+pipeline task carries, so they trace whether the pool forks or spawns.
+
+The tracer also carries solver heartbeats: a tracer with a positive
+``heartbeat_interval`` asks every solve to :meth:`Tracer.heartbeat` a
+:class:`~repro.obs.progress.ProgressSnapshot` that often (in conflicts),
+and writes each one as a ``progress`` event line.
 
 The default tracer is :data:`NULL_TRACER`: ``span()`` returns a shared
 singleton context manager that records nothing, writes nothing, and
@@ -31,12 +35,34 @@ import time
 import uuid
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
-#: Environment variable holding the trace-file path; setting it before a
-#: run (the ``pipeline --trace`` flag does this) activates tracing in the
-#: current process *and* in every pipeline worker process.
+if TYPE_CHECKING:  # progress imports this module; annotation only
+    from repro.obs.progress import ProgressSnapshot
+
+#: Environment variable holding a trace-file path, read once at import:
+#: the one way to trace commands that install no tracer themselves
+#: (``repro serve``, ``demo``, ``analyze``).
 TRACE_ENV = "REPRO_TRACE"
+
+#: Environment variable giving that import-time tracer its heartbeat
+#: interval in conflicts (a non-numeric or non-positive value means
+#: :data:`DEFAULT_INTERVAL`; unset means no heartbeats).
+PROGRESS_ENV = "REPRO_PROGRESS"
+
+#: Heartbeat every this-many conflicts unless configured otherwise:
+#: frequent enough to watch a live solve, rare enough to cost nothing
+#: measurable.
+DEFAULT_INTERVAL = 256
 
 _current_span_id: ContextVar[Optional[str]] = ContextVar(
     "repro_current_span", default=None
@@ -72,9 +98,11 @@ def new_trace_id() -> str:
 class TraceContext:
     """The portable causal link: a trace id plus the parent span id.
 
-    Instances cross process and task boundaries as plain dicts (see
-    :meth:`to_dict`); the receiving side calls :func:`adopt_trace_context`
+    Instances are frozen and picklable, so they cross process and task
+    boundaries as they are (each pipeline task's telemetry envelope
+    carries one); the receiving side calls :func:`adopt_trace_context`
     so its spans join the sender's tree instead of rooting a new one.
+    :meth:`to_dict` / :meth:`from_dict` give the JSON form.
     """
 
     trace_id: str
@@ -272,6 +300,11 @@ class Tracer:
     #: Hot paths may guard expensive attribute computation on this flag.
     enabled = True
 
+    #: Solver heartbeat period in conflicts; 0 asks for none.  Each solve
+    #: reads it once, so with 0 the search loop pays one integer test per
+    #: conflict and nothing else.
+    heartbeat_interval = 0
+
     def __init__(self) -> None:
         self._counter = itertools.count(1)
 
@@ -297,6 +330,21 @@ class Tracer:
         them apart from span records.  The default tracer discards them.
         """
         return None
+
+    def heartbeat(self, snapshot: "ProgressSnapshot") -> None:
+        """Emit a solver progress snapshot as a ``progress`` event.
+
+        The event is tagged with the ambient trace context, so a watcher
+        can attribute a worker's solve to the run (and the span) that
+        caused it.
+        """
+        payload = snapshot.to_dict()
+        ctx = current_trace_context()
+        if ctx is not None:
+            payload["trace_id"] = ctx.trace_id
+            if ctx.span_id is not None:
+                payload["span_id"] = ctx.span_id
+        self.emit_event(payload)
 
     def _emit(self, record: SpanRecord) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -343,12 +391,18 @@ class JsonlTracer(Tracer):
     :func:`read_trace` recovers it as an *open* span instead of dropping
     it silently -- the difference between "this worker never ran the task"
     and "this worker was killed mid-task".
+
+    ``heartbeat_interval`` (conflicts, 0 = off) turns on solver heartbeat
+    lines in the same file.
     """
 
-    def __init__(self, path: str, begin_events: bool = True) -> None:
+    def __init__(
+        self, path: str, begin_events: bool = True, heartbeat_interval: int = 0
+    ) -> None:
         super().__init__()
         self.path = str(path)
         self.begin_events = begin_events
+        self.heartbeat_interval = max(0, int(heartbeat_interval))
         self._fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
         )
@@ -386,15 +440,25 @@ class JsonlTracer(Tracer):
             self._fd = -1
 
 
+def _interval_from_env(value: Optional[str]) -> int:
+    if not value:
+        return 0
+    try:
+        parsed = int(value)
+    except ValueError:
+        return DEFAULT_INTERVAL
+    return parsed if parsed > 0 else DEFAULT_INTERVAL
+
+
 NULL_TRACER = NullTracer()
 _tracer: Tracer = NULL_TRACER
 
-# Worker processes inherit REPRO_TRACE from the parent; activating here at
-# import means their instrumented code traces into the same file with no
-# explicit plumbing through the process pool.
 _env_path = os.environ.get(TRACE_ENV)
 if _env_path:
-    _tracer = JsonlTracer(_env_path)
+    _tracer = JsonlTracer(
+        _env_path,
+        heartbeat_interval=_interval_from_env(os.environ.get(PROGRESS_ENV)),
+    )
 del _env_path
 
 
@@ -410,11 +474,12 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def enable_tracing(path: str) -> JsonlTracer:
-    """Trace into ``path`` (JSONL), here and in pipeline workers."""
-    tracer = JsonlTracer(path)
+def enable_tracing(path: str, heartbeat_interval: int = 0) -> JsonlTracer:
+    """Trace into ``path`` (JSONL), with solver heartbeats every
+    ``heartbeat_interval`` conflicts (0 = none).  Pipeline tasks carry
+    both to their workers."""
+    tracer = JsonlTracer(path, heartbeat_interval=heartbeat_interval)
     set_tracer(tracer)
-    os.environ[TRACE_ENV] = str(path)
     return tracer
 
 

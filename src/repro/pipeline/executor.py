@@ -17,19 +17,28 @@ index order, so serial (``jobs=1``) and parallel runs produce byte-identical
 findings and policies.  Signatures are addressed by registry name
 (``repro.core.vulnerabilities.lookup``) to stay picklable.
 
-Fault tolerance: every task is dispatched individually (``submit`` +
-futures) under a :class:`FaultPolicy` -- a configurable per-task timeout,
-bounded retries with exponential backoff, and crash isolation.  A worker
-crash (``BrokenProcessPool``) kills only that pool generation: completed
-results and their already-merged metrics deltas are kept, unstarted tasks
-are resubmitted at no attempt cost, and the tasks that were in flight are
-re-run one at a time so a repeat crash is attributed to the task that
-caused it.  A per-task timeout likewise kills only the generation: the
-victims are charged an attempt, while healthy in-flight peers are
-resubmitted for free.  A task that keeps failing becomes a structured
-:class:`TaskFailure` in ``RunReport.failures`` instead of aborting the
-run; a budget-exhausted synthesis degrades to a partial payload recorded
-in ``RunReport.degraded`` (and is never cached).
+Fault tolerance: every task is dispatched individually under a
+:class:`FaultPolicy` -- a configurable per-task timeout, bounded retries
+with exponential backoff, and crash isolation -- by one round-based
+loop, whether a round runs in a process pool (``submit`` + futures) or
+in-process (``jobs <= 1``, a single task, or no process support).  A
+worker crash (``BrokenProcessPool``) kills only that pool generation:
+completed results and their already-merged metrics are kept, unstarted
+tasks are resubmitted at no attempt cost, and the tasks that were in
+flight are re-run one at a time so a repeat crash is attributed to the
+task that caused it.  A per-task timeout likewise kills only the
+generation: the victims are charged an attempt, while healthy in-flight
+peers are resubmitted for free.  A task that keeps failing becomes a
+structured :class:`TaskFailure` in ``RunReport.failures`` instead of
+aborting the run; a budget-exhausted synthesis degrades to a partial
+payload recorded in ``RunReport.degraded`` (and is never cached).
+
+Telemetry: every task runs through :func:`_run_task` under a telemetry
+envelope the parent builds once per map -- the dispatch span's trace
+context, the trace file, the heartbeat interval and whether metrics are
+on -- and returns its payload with the metrics snapshot it collected,
+which the parent merges.  The envelope is the only telemetry channel
+into workers, so forked and spawned pools trace and count alike.
 """
 
 from __future__ import annotations
@@ -62,8 +71,10 @@ from repro.core.separ import Separ, SeparReport
 from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.core.vulnerabilities import default_signatures, lookup
 from repro.obs import (
+    NULL_METRICS,
     CostKey,
-    TraceContext,
+    JsonlTracer,
+    MetricsRegistry,
     adopt_trace_context,
     aggregate_spans,
     current_trace_context,
@@ -72,6 +83,8 @@ from repro.obs import (
     get_metrics,
     get_tracer,
     read_trace,
+    set_metrics,
+    set_tracer,
 )
 from repro.pipeline.cache import (
     NullCache,
@@ -124,16 +137,10 @@ class FaultPolicy:
 
 @dataclass
 class _TaskOutcome:
-    """What one task ultimately produced: a payload or a failure.
-
-    ``attribution`` is the cost-ledger key fragment the worker shipped
-    back in its delta envelope (``{"bundle": ..., "signature": ...}``);
-    ``None`` on paths that don't carry the envelope (serial, plain fn).
-    """
+    """What one task ultimately produced: a payload or a failure."""
 
     payload: Any = None
     failure: Optional[TaskFailure] = None
-    attribution: Optional[Dict[str, str]] = None
 
     @property
     def ok(self) -> bool:
@@ -142,20 +149,21 @@ class _TaskOutcome:
 
 @dataclass
 class _RoundResult:
-    """What one pool generation accomplished before ending.
+    """What one round (a pool generation, or an in-process pass) did.
 
     ``completed`` maps task index to ``("ok", result)`` or
     ``("error", message)`` -- a genuine exception raised *by the task
-    function* and shipped back over the future, as opposed to pool
-    infrastructure failure.  ``interrupted`` tasks were in flight when the
-    pool died (fate unknown); ``unstarted`` tasks never ran at all.
+    function*, as opposed to pool infrastructure failure.
+    ``interrupted`` tasks were in flight when the pool died (fate
+    unknown); ``unstarted`` tasks never ran at all.  An in-process round
+    only ever completes tasks.
     """
 
     completed: Dict[int, Tuple[str, Any]]
-    interrupted: List[int]
-    unstarted: List[int]
-    timed_out: List[int]
-    broke: bool
+    interrupted: List[int] = field(default_factory=list)
+    unstarted: List[int] = field(default_factory=list)
+    timed_out: List[int] = field(default_factory=list)
+    broke: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -166,9 +174,6 @@ def _extract_worker(task: Tuple[Any, bool]) -> Dict[str, Any]:
 
     apk, handle_dynamic_receivers = task
     maybe_inject("extract", apk.package)
-    # Spans emitted here land in the shared REPRO_TRACE file whether this
-    # runs in the parent (serial path) or in a pool worker (the env var and
-    # the O_APPEND descriptor discipline make the file multi-process safe).
     with get_tracer().span("pipeline.extract_app", package=apk.package):
         model = extract_app(
             apk, handle_dynamic_receivers=handle_dynamic_receivers
@@ -224,74 +229,38 @@ def _shared_synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
     return synthesis_payload(result)
 
 
-def _extract_attribution(task: Tuple[Any, bool]) -> Dict[str, str]:
-    return {"bundle": task[0].package, "signature": ""}
+def _run_task(
+    fn: Callable[[T], R], telemetry: Dict[str, Any], task: T
+) -> Tuple[R, Dict[str, Any]]:
+    """Run one pipeline task under the dispatching run's telemetry.
 
-
-def _synthesis_attribution(task: Dict[str, Any]) -> Dict[str, str]:
-    packages = ",".join(sorted(a["package"] for a in task["apps"]))
-    # Shared-encoding tasks cover every signature on one solver; the
-    # solver counters cannot be split per signature, so the whole bundle
-    # is one account with the ``*`` signature wildcard.
-    signature = task["signature"] if "signature" in task else "*"
-    return {"bundle": packages, "signature": signature}
-
-
-def _with_metrics_delta(
-    fn: Callable[[T], R], attribution: Dict[str, str], task: T
-) -> Tuple[R, Any, Dict[str, str]]:
-    """Run ``fn`` in a pool worker and capture its per-task metrics delta.
-
-    The worker's registry is reset before the task (a forked worker
-    inherits the parent's counts; a reused worker carries the previous
-    task's), so the returned snapshot is exactly what this task added.
-    The parent merges it -- only on the parallel path, where in-process
-    increments never happened.  The envelope also carries the cost-ledger
-    attribution key, so the parent can post the delta to the right
-    ``(bundle, signature)`` account.
+    Every task runs through here, in a pool worker or in-process alike.
+    ``telemetry`` is the envelope :meth:`AnalysisPipeline._map` builds
+    once per map: the dispatch span's :class:`~repro.obs.TraceContext`
+    (worker spans parent under it and carry the run's trace id), the
+    trace file and heartbeat interval, and whether metrics are on.  A
+    process whose tracer does not already write to that file -- a
+    spawned worker, on its first task -- installs one.  The task runs
+    under a fresh registry when metrics are on (the no-op one when off),
+    and returns that registry's snapshot with its payload: a forked
+    worker never resets an inherited registry, and an in-process task
+    never writes into the parent's directly.
     """
-    metrics = get_metrics()
-    if not metrics.enabled:
-        return fn(task), None, attribution
-    metrics.reset()
-    payload = fn(task)
-    return payload, metrics.snapshot(), attribution
-
-
-def _extract_worker_obs(
-    task: Tuple[Any, bool]
-) -> Tuple[Dict[str, Any], Any, Dict[str, str]]:
-    return _with_metrics_delta(_extract_worker, _extract_attribution(task), task)
-
-
-def _synthesis_worker_obs(
-    task: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Any, Dict[str, str]]:
-    return _with_metrics_delta(
-        _synthesis_worker, _synthesis_attribution(task), task
-    )
-
-
-def _shared_synthesis_worker_obs(
-    task: Dict[str, Any]
-) -> Tuple[Dict[str, Any], Any, Dict[str, str]]:
-    return _with_metrics_delta(
-        _shared_synthesis_worker, _synthesis_attribution(task), task
-    )
-
-
-def _traced_call(fn: Callable[[T], R], ctx_dict: Dict[str, Any], task: T) -> R:
-    """Run ``fn`` in a pool worker under an adopted trace context.
-
-    ``ctx_dict`` is the orchestrator's :class:`TraceContext` (captured at
-    submit time, while the dispatch stage span was current), shipped
-    across the process boundary as a plain dict so the partial stays
-    picklable under both fork and spawn.  The worker's spans then parent
-    under the dispatch span and carry the run's trace id instead of
-    rooting a fresh per-pid tree.
-    """
-    with adopt_trace_context(TraceContext.from_dict(ctx_dict)):
-        return fn(task)
+    path = telemetry["trace_path"]
+    if path is not None and getattr(get_tracer(), "path", None) != path:
+        set_tracer(
+            JsonlTracer(
+                path, heartbeat_interval=telemetry["heartbeat_interval"]
+            )
+        )
+    registry = MetricsRegistry() if telemetry["metrics"] else NULL_METRICS
+    previous = set_metrics(registry)
+    try:
+        with adopt_trace_context(telemetry["trace"]):
+            payload = fn(task)
+    finally:
+        set_metrics(previous)
+    return payload, registry.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -359,17 +328,17 @@ class PipelineResult:
 class AnalysisPipeline:
     """Fan-out + cache orchestration for multi-bundle SEPAR analysis.
 
-    ``jobs <= 1`` runs everything serially in-process; higher values use a
-    :class:`~concurrent.futures.ProcessPoolExecutor`, falling back to the
-    serial path only when worker processes cannot be spawned at all.  Both
-    paths execute the same worker functions, so outputs are identical byte
-    for byte.  ``faults`` governs per-task retries/timeouts (see
-    :class:`FaultPolicy`); ``conflict_budget`` / ``time_budget_seconds``
-    bound each synthesis task, degrading it to a partial result instead of
-    letting a SAT blow-up sink the run.  ``shared_encoding=False`` selects
-    the per-(bundle, signature) reference path, whose findings are
-    byte-identical and whose tasks fail and degrade one signature at a
-    time.
+    ``jobs <= 1`` runs everything in-process; higher values use a
+    :class:`~concurrent.futures.ProcessPoolExecutor`, finishing the run
+    in-process when worker processes cannot be started at all.  Both
+    execute the same worker functions through the same retry loop, so
+    outputs are identical byte for byte.  ``faults`` governs per-task
+    retries/timeouts (see :class:`FaultPolicy`); ``conflict_budget`` /
+    ``time_budget_seconds`` bound each synthesis task, degrading it to a
+    partial result instead of letting a SAT blow-up sink the run.
+    ``shared_encoding=False`` selects the per-(bundle, signature)
+    reference path, whose findings are byte-identical and whose tasks
+    fail and degrade one signature at a time.
     """
 
     def __init__(
@@ -388,8 +357,7 @@ class AnalysisPipeline:
     ) -> None:
         self.jobs = max(1, jobs)
         #: Pool start method ("fork", "spawn", ...); ``None`` = platform
-        #: default.  Spawned workers re-import ``repro``, re-activating
-        #: tracing/metrics from the inherited environment variables, so
+        #: default.  Telemetry rides in each task's envelope, so
         #: observability and results are identical under either method.
         self.start_method = start_method
         self.cache = cache if cache is not None else NullCache()
@@ -415,96 +383,50 @@ class AnalysisPipeline:
         items: Sequence[T],
         stage: str,
         labels: Sequence[str],
-        obs_fn: Optional[Callable[[T], Tuple[R, Any]]] = None,
     ) -> List[_TaskOutcome]:
         """Order-preserving fault-tolerant map, parallel when jobs > 1.
 
         Returns one :class:`_TaskOutcome` per item, in item order: the
         task's payload, or the :class:`TaskFailure` it ended in after
-        exhausting its retries.  On the parallel path, ``obs_fn`` (when
-        given and metrics are on) replaces ``fn`` with a wrapper that also
-        ships each task's metrics delta back for merging -- the serial
-        path publishes into the parent's registry directly, so it uses
-        plain ``fn``.  Each delta is merged exactly once, when its task
-        completes; a pool break never re-merges or re-runs completed work.
+        exhausting its retries.  The telemetry envelope is captured here,
+        while the dispatching stage span is current, and every task runs
+        as ``_run_task(fn, telemetry, task)``; a partial of module-level
+        functions stays picklable under both fork and spawn.
         """
         if not items:
             return []
         mark_parent_process()
-        if self.jobs <= 1 or len(items) <= 1:
-            return [
-                self._run_serial(fn, item, label, stage)
-                for item, label in zip(items, labels)
-            ]
-        metrics = get_metrics()
-        wrapped: Callable[[T], Any] = fn
-        has_delta = False
-        if obs_fn is not None and metrics.enabled:
-            wrapped = obs_fn
-            has_delta = True
-        # Capture the dispatch-time trace context (the enclosing stage
-        # span) and ship it with every task, so worker spans join this
-        # run's tree.  The serial path needs nothing: contextvars flow
-        # in-process.  A partial of a module-level function stays
-        # picklable under both fork and spawn start methods.
-        ctx = current_trace_context()
-        if ctx is not None:
-            wrapped = functools.partial(_traced_call, wrapped, ctx.to_dict())
-        return self._run_pooled(wrapped, fn, items, labels, stage, has_delta)
-
-    def _run_serial(
-        self, fn: Callable[[T], R], item: T, label: str, stage: str
-    ) -> _TaskOutcome:
-        """In-process execution with the same retry policy as the pool.
-
-        Only genuine task exceptions occur here (there is no pool to
-        break and no preemptable timeout); they are retried with backoff
-        and finally recorded as a structured failure.
-        """
-        metrics = get_metrics()
-        policy = self.faults
-        start = time.perf_counter()
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                payload = fn(item)
-            except Exception as exc:  # noqa: BLE001 -- task isolation
-                if attempts <= policy.max_retries:
-                    metrics.counter("pipeline.task_retries").inc()
-                    time.sleep(policy.delay(attempts))
-                    continue
-                metrics.counter("pipeline.task_failures").inc()
-                return _TaskOutcome(
-                    failure=TaskFailure(
-                        stage=stage,
-                        task=label,
-                        kind="error",
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=attempts,
-                        elapsed_seconds=time.perf_counter() - start,
-                    )
-                )
-            return _TaskOutcome(payload=payload)
+        tracer = get_tracer()
+        telemetry = {
+            "trace": current_trace_context(),
+            "trace_path": getattr(tracer, "path", None),
+            "heartbeat_interval": tracer.heartbeat_interval,
+            "metrics": get_metrics().enabled,
+        }
+        return self._run_pooled(
+            functools.partial(_run_task, fn, telemetry), items, labels, stage
+        )
 
     def _run_pooled(
         self,
         fn: Callable[[T], Any],
-        serial_fn: Callable[[T], Any],
         items: Sequence[T],
         labels: Sequence[str],
         stage: str,
-        has_delta: bool,
     ) -> List[_TaskOutcome]:
-        """Per-task dispatch over successive pool generations.
+        """Per-task dispatch over successive rounds.
 
-        Tasks run in batched rounds; a round ends when its pool breaks
-        (worker crash) or a task overruns the timeout, killing only that
-        pool generation.  Completed tasks keep their results and metrics
-        deltas; unstarted tasks and healthy tasks in flight when a peer's
-        timeout killed the generation are requeued at no attempt cost;
-        tasks in flight at a crash are re-run one per pool so a repeat
-        crash is attributed to the task that caused it (crash isolation).
+        A round is a pool generation, or an in-process pass when
+        ``jobs <= 1``, when there is a single task, or once a pool cannot
+        start (restricted environments) -- the rest of the map then runs
+        in-process.  A pool round ends when its pool breaks (worker crash)
+        or a task overruns the timeout, killing only that generation.
+        Completed tasks keep their results, and their metrics snapshots
+        are merged exactly once; unstarted tasks and healthy tasks in
+        flight when a peer's timeout killed the generation are requeued at
+        no attempt cost; tasks in flight at a crash are re-run one per
+        pool so a repeat crash is attributed to the task that caused it
+        (crash isolation).
         """
         metrics = get_metrics()
         policy = self.faults
@@ -515,7 +437,7 @@ class AnalysisPipeline:
         queue: Deque[int] = deque(range(n))
         isolate: Deque[int] = deque()
         retry_sleep = 0.0
-        no_pool_support = False
+        in_process = self.jobs <= 1 or n <= 1
 
         def record_failure(idx: int, kind: str, message: str) -> None:
             metrics.counter("pipeline.task_failures").inc()
@@ -532,15 +454,10 @@ class AnalysisPipeline:
             )
 
         def record_success(idx: int, result: Any) -> None:
-            if has_delta:
-                payload, delta, attribution = result
-                if delta:
-                    metrics.merge(delta)
-                outcomes[idx] = _TaskOutcome(
-                    payload=payload, attribution=attribution
-                )
-            else:
-                outcomes[idx] = _TaskOutcome(payload=result)
+            payload, snapshot = result
+            if snapshot:
+                metrics.merge(snapshot)
+            outcomes[idx] = _TaskOutcome(payload=payload)
 
         def consume_attempt(idx: int, kind: str, message: str) -> None:
             nonlocal retry_sleep
@@ -568,13 +485,16 @@ class AnalysisPipeline:
             now = time.perf_counter()
             for idx in round_ids:
                 first_try.setdefault(idx, now)
-            round_result = self._pool_round(fn, items, round_ids, workers)
+            round_result = (
+                None
+                if in_process
+                else self._pool_round(fn, items, round_ids, workers)
+            )
             if round_result is None:
-                # No process support at all (restricted environments):
-                # nothing in this round ran; finish everything serially.
-                queue.extend(round_ids)
-                no_pool_support = True
-                break
+                # jobs <= 1, a single task, or no process support: this
+                # round and the rest of the map run in-process.
+                in_process = True
+                round_result = self._in_process_round(fn, items, round_ids)
             for idx, (status, value) in round_result.completed.items():
                 if status == "ok":
                     record_success(idx, value)
@@ -608,17 +528,6 @@ class AnalysisPipeline:
                 queue.extend(round_result.interrupted)
             queue.extend(round_result.unstarted)
 
-        if no_pool_support:
-            # Restricted environment (no process support): run the rest
-            # in-process with the *plain* worker function -- the obs
-            # wrapper resets the registry per task, which would clobber
-            # the parent's counts; in-process execution publishes into
-            # the parent registry directly, exactly like the serial path.
-            for idx in list(queue) + list(isolate):
-                if outcomes[idx] is None:
-                    outcomes[idx] = self._run_serial(
-                        serial_fn, items[idx], labels[idx], stage
-                    )
         return [
             outcome
             if outcome is not None
@@ -635,6 +544,24 @@ class AnalysisPipeline:
             for idx, outcome in enumerate(outcomes)
         ]
 
+    @staticmethod
+    def _in_process_round(
+        fn: Callable[[T], Any], items: Sequence[T], round_ids: Sequence[int]
+    ) -> _RoundResult:
+        """Run one round in the orchestrator itself.
+
+        Only genuine task exceptions occur here: there is no pool to
+        break, and a task running in-process cannot be preempted, so the
+        per-task timeout does not apply.
+        """
+        completed: Dict[int, Tuple[str, Any]] = {}
+        for idx in round_ids:
+            try:
+                completed[idx] = ("ok", fn(items[idx]))
+            except Exception as exc:  # noqa: BLE001 -- task isolation
+                completed[idx] = ("error", f"{type(exc).__name__}: {exc}")
+        return _RoundResult(completed=completed)
+
     def _pool_round(
         self,
         fn: Callable[[T], Any],
@@ -644,10 +571,13 @@ class AnalysisPipeline:
     ) -> Optional[_RoundResult]:
         """Run one pool generation; never raises on task or pool failure.
 
-        Returns ``None`` when a process pool cannot be created at all
-        (the caller then falls back to serial execution).  Keeps at most
-        ``workers`` tasks in flight so the per-task timeout measures
-        *running* time, not queueing time.
+        Returns ``None`` when this process has no pool support: the pool
+        cannot be created, or its workers (or its manager thread) cannot
+        be started before any task of the round is in flight
+        (``ProcessPoolExecutor`` starts them inside ``submit``).  The
+        caller then runs the round in-process.  Keeps at most ``workers``
+        tasks in flight so the per-task timeout measures *running* time,
+        not queueing time.
         """
         try:
             mp_context = (
@@ -669,18 +599,23 @@ class AnalysisPipeline:
         timeout = self.faults.task_timeout
         broke = False
         force_kill = False
+        no_pool_support = False
         try:
             while pending or inflight:
                 while pending and len(inflight) < workers:
                     idx = pending.popleft()
                     try:
                         future = pool.submit(fn, items[idx])
-                    except RuntimeError:
+                    except (OSError, RuntimeError):
                         # Pool infrastructure failure (already broken or
-                        # shut down) -- NOT a task error: the task never
-                        # ran, so it goes back unstarted.
+                        # shut down, or a worker or the pool's manager
+                        # thread that cannot start) -- NOT a task error:
+                        # the task never ran, so it goes back unstarted.
+                        # A failure before any task of the round was
+                        # submitted means this process cannot run a pool.
                         pending.appendleft(idx)
                         broke = True
+                        no_pool_support = not started
                         break
                     inflight[future] = idx
                     started[idx] = time.monotonic()
@@ -732,6 +667,8 @@ class AnalysisPipeline:
                 self._kill_pool(pool)
             else:
                 pool.shutdown(wait=True)
+        if no_pool_support:
+            return None
         return _RoundResult(
             completed=completed,
             interrupted=interrupted,
@@ -848,7 +785,6 @@ class AnalysisPipeline:
                 ],
                 stage="extract",
                 labels=[apks[i].package for i in miss_indices],
-                obs_fn=_extract_worker_obs,
             )
             failures: List[TaskFailure] = []
             ledger = get_cost_ledger()
@@ -866,13 +802,8 @@ class AnalysisPipeline:
                     self.cache.put("extract", keys[index], outcome.payload)
                     dicts[index] = outcome.payload
                     if ledger.enabled:
-                        attribution = outcome.attribution or (
-                            _extract_attribution(
-                                (apks[index], self.handle_dynamic_receivers)
-                            )
-                        )
                         ledger.charge(
-                            CostKey(trace_id=tid, **attribution),
+                            CostKey(trace_id=tid, bundle=apks[index].package),
                             cache_misses=1,
                             wall_seconds=float(
                                 outcome.payload.get("extraction_seconds", 0.0)
@@ -979,11 +910,7 @@ class AnalysisPipeline:
                     }
                     for i in miss_indices
                 ]
-                worker, worker_obs, label = (
-                    _shared_synthesis_worker,
-                    _shared_synthesis_worker_obs,
-                    _shared_task_key,
-                )
+                worker, label = _shared_synthesis_worker, _shared_task_key
             else:
                 task_payloads = [
                     {
@@ -993,36 +920,33 @@ class AnalysisPipeline:
                     }
                     for i in miss_indices
                 ]
-                worker, worker_obs, label = (
-                    _synthesis_worker,
-                    _synthesis_worker_obs,
-                    _synthesis_task_key,
-                )
+                worker, label = _synthesis_worker, _synthesis_task_key
             outcomes = self._map(
                 worker,
                 task_payloads,
                 stage="synthesis",
                 labels=[label(t) for t in task_payloads],
-                obs_fn=worker_obs,
             )
             ledger = get_cost_ledger()
+            tid = current_trace_id() or ""
+
+            def account(i: int) -> CostKey:
+                # A shared-encoding task covers every signature on one
+                # solver, whose counters cannot be split per signature:
+                # the whole bundle is one account, signature ``*``.
+                b, name = tasks[i]
+                packages = ",".join(
+                    sorted(a["package"] for a in bundle_apps[b])
+                )
+                return CostKey(
+                    trace_id=tid, bundle=packages, signature=name or "*"
+                )
+
             if ledger.enabled:
-                tid = current_trace_id() or ""
                 missed = set(miss_indices)
-                for i, (b, name) in enumerate(tasks):
-                    if i in missed:
-                        continue
-                    packages = ",".join(
-                        sorted(a["package"] for a in bundle_apps[b])
-                    )
-                    ledger.charge(
-                        CostKey(
-                            trace_id=tid,
-                            bundle=packages,
-                            signature=name or "*",
-                        ),
-                        cache_hits=1,
-                    )
+                for i in range(len(tasks)):
+                    if i not in missed:
+                        ledger.charge(account(i), cache_hits=1)
             for index, payload_task, outcome in zip(
                 miss_indices, task_payloads, outcomes
             ):
@@ -1032,10 +956,7 @@ class AnalysisPipeline:
                 payload = outcome.payload
                 cached[index] = payload
                 if ledger.enabled:
-                    attribution = outcome.attribution or (
-                        _synthesis_attribution(payload_task)
-                    )
-                    key = CostKey(trace_id=tid, **attribution)
+                    key = account(index)
                     ledger.charge(key, cache_misses=1)
                     ledger.charge_stats(key, payload.get("stats", {}))
                 if payload.get("incomplete"):

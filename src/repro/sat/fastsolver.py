@@ -53,7 +53,7 @@ import time
 from array import array
 from typing import List, Optional, Sequence
 
-from repro.obs import ProgressSnapshot, get_metrics, get_progress
+from repro.obs import ProgressSnapshot, get_metrics, get_tracer
 from repro.sat.solver import (
     BudgetExhausted,
     Model,
@@ -661,8 +661,8 @@ class FastSolver:
             keep += 1
         self._cancel_until(keep)
 
-        progress = get_progress()
-        sample_every = progress.interval if progress.enabled else 0
+        tracer = get_tracer()
+        sample_every = tracer.heartbeat_interval
         solve_started = time.perf_counter() if sample_every else 0.0
 
         max_learnts = max(100, self._num_clauses // 3)
@@ -678,7 +678,7 @@ class FastSolver:
                     self._conflicts += 1
                     conflicts_this_restart += 1
                     if sample_every and self._conflicts % sample_every == 0:
-                        progress.publish(
+                        tracer.heartbeat(
                             self._progress_snapshot(
                                 solve_started, conflict_budget
                             )
@@ -750,7 +750,7 @@ class FastSolver:
                 self._enqueue(next_e, -1)
         finally:
             if sample_every:
-                progress.publish(
+                tracer.heartbeat(
                     self._progress_snapshot(solve_started, conflict_budget)
                 )
             # Unwind to the seated-assumption prefix (not to the root):

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.obs import ProgressSnapshot, get_metrics, get_progress
+from repro.obs import ProgressSnapshot, get_metrics, get_tracer
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
@@ -612,10 +612,10 @@ class Solver:
         for lit in assumptions:
             self.ensure_var(abs(lit))
 
-        # Progress telemetry: with the null bus the loop below pays one
-        # integer test per conflict and nothing else.
-        progress = get_progress()
-        sample_every = progress.interval if progress.enabled else 0
+        # Progress telemetry: with heartbeats off (interval 0) the loop
+        # below pays one integer test per conflict and nothing else.
+        tracer = get_tracer()
+        sample_every = tracer.heartbeat_interval
         solve_started = time.perf_counter() if sample_every else 0.0
 
         # Incrementally-maintained counts: per-call setup must not scan
@@ -634,7 +634,7 @@ class Solver:
                     self._conflicts += 1
                     conflicts_this_restart += 1
                     if sample_every and self._conflicts % sample_every == 0:
-                        progress.publish(
+                        tracer.heartbeat(
                             self._progress_snapshot(
                                 solve_started, conflict_budget
                             )
@@ -708,7 +708,7 @@ class Solver:
                 # A closing snapshot, so even an easy solve (fewer conflicts
                 # than the sampling interval) heartbeats once, and watchers
                 # see the final counters of a budget-exhausted call.
-                progress.publish(
+                tracer.heartbeat(
                     self._progress_snapshot(solve_started, conflict_budget)
                 )
             # Always unwind to level 0: every exit path -- UNSAT, assumption
@@ -720,7 +720,7 @@ class Solver:
     def _progress_snapshot(
         self, solve_started: float, conflict_budget: Optional[int]
     ) -> ProgressSnapshot:
-        """A point-in-time view of the running solve (for the progress bus)."""
+        """A point-in-time view of the running solve (for heartbeats)."""
         elapsed = time.perf_counter() - solve_started
         return ProgressSnapshot(
             ts=time.time(),

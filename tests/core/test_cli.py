@@ -109,8 +109,8 @@ class TestSimulate:
 
 
 class TestTraceCommands:
-    def test_pipeline_trace_then_render(self, tmp_path, capsys, monkeypatch):
-        from repro.obs import METRICS_ENV, NULL_METRICS, NULL_TRACER, TRACE_ENV
+    def test_pipeline_trace_then_render(self, tmp_path, capsys):
+        from repro.obs import NULL_METRICS, NULL_TRACER
         from repro.obs import NULL_COST_LEDGER, set_cost_ledger
         from repro.obs import set_metrics, set_tracer
 
@@ -128,8 +128,6 @@ class TestTraceCommands:
             set_tracer(NULL_TRACER)
             set_metrics(NULL_METRICS)
             set_cost_ledger(NULL_COST_LEDGER)
-            monkeypatch.delenv(TRACE_ENV, raising=False)
-            monkeypatch.delenv(METRICS_ENV, raising=False)
         out = capsys.readouterr().out
         assert "spans written" in out
         assert "cost ledger:" in out
@@ -167,6 +165,40 @@ class TestTraceCommands:
         exposition = capsys.readouterr().out
         assert "repro_cost_cache_misses_total{" in exposition
         assert 'trace_id="' in exposition
+
+    def test_watch_heartbeats_at_any_progress_interval(self, tmp_path):
+        """``--watch`` always gives the tracer a positive heartbeat
+        interval; ``--progress-interval 0`` must not leave it blind."""
+        import json
+        import logging
+
+        from repro.obs import NULL_METRICS, NULL_TRACER
+        from repro.obs import NULL_COST_LEDGER, set_cost_ledger
+        from repro.obs import set_metrics, set_tracer
+
+        trace_path = tmp_path / "out.jsonl"
+        watch_logger = logging.getLogger("repro.watch")
+        handlers, level = list(watch_logger.handlers), watch_logger.level
+        try:
+            assert main(
+                [
+                    "pipeline", "--scale", "0.002", "--bundle-size", "4",
+                    "--scenarios", "2", "--no-cache",
+                    "--trace", str(trace_path),
+                    "--watch", "--progress-interval", "0",
+                ]
+            ) == 0
+        finally:
+            set_tracer(NULL_TRACER)
+            set_metrics(NULL_METRICS)
+            set_cost_ledger(NULL_COST_LEDGER)
+            watch_logger.handlers[:] = handlers
+            watch_logger.setLevel(level)
+        events = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines()
+        ]
+        assert any(e.get("event") == "progress" for e in events)
 
     def test_trace_rejects_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
@@ -208,9 +240,8 @@ class TestTop:
 
 
 class TestPipelineFaultHandling:
-    def _restore_observability(self, monkeypatch):
+    def _restore_observability(self):
         from repro.obs import (
-            METRICS_ENV,
             NULL_COST_LEDGER,
             NULL_METRICS,
             set_cost_ledger,
@@ -219,11 +250,8 @@ class TestPipelineFaultHandling:
 
         set_metrics(NULL_METRICS)
         set_cost_ledger(NULL_COST_LEDGER)
-        monkeypatch.delenv(METRICS_ENV, raising=False)
 
-    def test_degraded_run_exits_zero_unless_strict(
-        self, capsys, monkeypatch
-    ):
+    def test_degraded_run_exits_zero_unless_strict(self, capsys):
         # The default scale (0.01) is the smallest corpus whose synthesis
         # actually reaches the SAT solver; smaller ones are trivially
         # unsat and have no budget to exhaust.
@@ -238,7 +266,7 @@ class TestPipelineFaultHandling:
             assert "budget_exhausted" in out
             assert main(argv + ["--strict"]) == 2
         finally:
-            self._restore_observability(monkeypatch)
+            self._restore_observability()
 
     def test_failed_tasks_reported_and_strict_exits_three(
         self, capsys, monkeypatch, tmp_path
@@ -273,7 +301,7 @@ class TestPipelineFaultHandling:
                 ]
             ) == 3
         finally:
-            self._restore_observability(monkeypatch)
+            self._restore_observability()
             import os
 
             os.environ.pop("REPRO_FAULT_PARENT", None)

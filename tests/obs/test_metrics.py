@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.obs import (
-    METRICS_ENV,
     NULL_METRICS,
     MetricsRegistry,
     NullMetricsRegistry,
@@ -211,19 +210,18 @@ class TestDisabled:
         reg.merge({"c": {"type": "counter", "value": 5}})
         assert reg.snapshot() == {}
 
-    def test_enable_metrics_installs_and_flags_workers(self, monkeypatch):
-        monkeypatch.delenv(METRICS_ENV, raising=False)
+    def test_enable_metrics_installs_without_touching_env(self):
+        import os
+
+        environ = dict(os.environ)
         previous = get_metrics()
         try:
             reg = enable_metrics()
-            import os
-
             assert get_metrics() is reg
             assert reg.enabled
-            assert os.environ.get(METRICS_ENV) == "1"
+            assert dict(os.environ) == environ
         finally:
             set_metrics(previous)
-            monkeypatch.delenv(METRICS_ENV, raising=False)
 
     def test_default_is_null(self):
         assert isinstance(NULL_METRICS, NullMetricsRegistry)

@@ -1,25 +1,27 @@
-"""Solver progress telemetry: ring buffer semantics (including concurrent
-publish/read), solver publication, heartbeat transport over the trace
-file, the --watch monitor, and the zero-cost / byte-identity guarantee
-when telemetry is disabled."""
+"""Solver progress telemetry: solver publication through the tracer,
+heartbeat transport over the trace file, the --watch monitor, and the
+zero-cost / byte-identity guarantee when telemetry is disabled."""
 
 import json
 import logging
-import threading
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs import (
-    NULL_PROGRESS,
+    DEFAULT_INTERVAL,
+    NULL_TRACER,
     PROGRESS_ENV,
+    TRACE_ENV,
     HeartbeatMonitor,
     JsonlTracer,
-    ProgressBus,
-    ProgressRing,
     ProgressSnapshot,
-    enable_progress,
-    get_progress,
-    set_progress,
+    get_tracer,
+    read_events,
     set_tracer,
 )
 from repro.sat.solver import BudgetExhausted, Solver
@@ -40,13 +42,24 @@ def _snap(i, pid=1):
     )
 
 
+def _beats(path):
+    return [
+        ProgressSnapshot.from_dict(event)
+        for event in read_events(str(path))[1]
+        if event.get("event") == "progress"
+    ]
+
+
 @pytest.fixture
-def bus():
-    """Install a live in-process bus (no trace events); restore after."""
-    b = ProgressBus(interval=1, emit_events=False)
-    previous = set_progress(b)
-    yield b
-    set_progress(previous)
+def heartbeats(tmp_path):
+    """Install a tracer heartbeating every conflict; yields a function
+    returning the snapshots it has written so far.  Restores after."""
+    path = tmp_path / "t.jsonl"
+    tracer = JsonlTracer(str(path), heartbeat_interval=1)
+    previous = set_tracer(tracer)
+    yield lambda: _beats(path)
+    set_tracer(previous)
+    tracer.close()
 
 
 def _pigeonhole(n):
@@ -60,68 +73,6 @@ def _pigeonhole(n):
             for p2 in range(p1 + 1, n + 1):
                 clauses.append([-var(p1, h), -var(p2, h)])
     return clauses
-
-
-class TestRing:
-    def test_latest_and_seq(self):
-        ring = ProgressRing(capacity=4)
-        assert ring.latest() is None
-        for i in range(3):
-            ring.publish(_snap(i))
-        assert ring.seq == 3
-        assert ring.latest().conflicts == 2
-
-    def test_read_since_in_order_no_drops(self):
-        ring = ProgressRing(capacity=8)
-        for i in range(5):
-            ring.publish(_snap(i))
-        cursor, dropped, items = ring.read_since(0)
-        assert cursor == 5
-        assert dropped == 0
-        assert [s.conflicts for s in items] == [0, 1, 2, 3, 4]
-        cursor, dropped, items = ring.read_since(cursor)
-        assert (cursor, dropped, items) == (5, 0, [])
-
-    def test_wraparound_reports_drops(self):
-        ring = ProgressRing(capacity=4)
-        for i in range(10):
-            ring.publish(_snap(i))
-        cursor, dropped, items = ring.read_since(0)
-        assert cursor == 10
-        assert dropped == 6  # only the last `capacity` survive
-        assert [s.conflicts for s in items] == [6, 7, 8, 9]
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            ProgressRing(capacity=0)
-
-    def test_concurrent_publish_and_read(self):
-        """One writer, one reader, no locks: the reader must only ever see
-        monotonically increasing conflict counts and account for every
-        snapshot as either delivered or dropped."""
-        ring = ProgressRing(capacity=16)
-        total = 5000
-        seen = []
-        dropped_total = 0
-
-        def writer():
-            for i in range(total):
-                ring.publish(_snap(i))
-
-        def reader():
-            nonlocal dropped_total
-            cursor = 0
-            while cursor < total:
-                cursor, dropped, items = ring.read_since(cursor)
-                dropped_total += dropped
-                seen.extend(s.conflicts for s in items)
-
-        w = threading.Thread(target=writer)
-        r = threading.Thread(target=reader)
-        w.start(), r.start()
-        w.join(), r.join()
-        assert sorted(seen) == seen  # strictly in publication order
-        assert len(seen) + dropped_total == total
 
 
 class TestSnapshotRoundTrip:
@@ -138,56 +89,58 @@ class TestSnapshotRoundTrip:
 
 
 class TestSolverPublishes:
-    def test_conflicty_solve_emits_snapshots(self, bus):
+    def test_conflicty_solve_emits_snapshots(self, heartbeats):
         solver = Solver()
         for clause in _pigeonhole(5):
             solver.add_clause(clause)
         result = solver.solve()
         assert not result.satisfiable
-        assert bus.ring.seq > 1  # periodic samples plus the closing one
-        last = bus.ring.latest()
+        beats = heartbeats()
+        assert len(beats) > 1  # periodic samples plus the closing one
+        last = beats[-1]
         assert last.conflicts > 0
         assert last.decisions > 0
         assert last.solve_id == 1
         assert last.budget_remaining is None
 
-    def test_budget_remaining_counts_down(self, bus):
+    def test_budget_remaining_counts_down(self, heartbeats):
         solver = Solver()
         for clause in _pigeonhole(6):
             solver.add_clause(clause)
         with pytest.raises(BudgetExhausted):
             solver.solve(conflict_budget=10)
-        last = bus.ring.latest()
+        last = heartbeats()[-1]
         assert last.budget_remaining == 0  # closing snapshot at the miss
 
-    def test_easy_solve_heartbeats_once(self, bus):
+    def test_easy_solve_heartbeats_once(self, heartbeats):
         solver = Solver()
         solver.add_clause([1, 2])
         assert solver.solve().satisfiable
-        assert bus.ring.seq == 1  # no conflicts, still one closing snapshot
+        assert len(heartbeats()) == 1  # no conflicts, one closing snapshot
 
-    def test_null_bus_publishes_nothing(self, monkeypatch):
-        monkeypatch.delenv(PROGRESS_ENV, raising=False)
-        assert get_progress() is NULL_PROGRESS or not get_progress().enabled
-        solver = Solver()
-        for clause in _pigeonhole(4):
-            solver.add_clause(clause)
-        assert not solver.solve().satisfiable  # must not raise or publish
+    def test_null_tracer_publishes_nothing(self):
+        previous = set_tracer(NULL_TRACER)
+        try:
+            assert get_tracer().heartbeat_interval == 0
+            solver = Solver()
+            for clause in _pigeonhole(4):
+                solver.add_clause(clause)
+            assert not solver.solve().satisfiable  # must not raise
+        finally:
+            set_tracer(previous)
 
 
 class TestHeartbeatTransport:
     def test_snapshots_land_in_trace_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        tracer = JsonlTracer(str(path))
+        tracer = JsonlTracer(str(path), heartbeat_interval=1)
         previous_tracer = set_tracer(tracer)
-        previous_bus = set_progress(ProgressBus(interval=1))
         try:
             solver = Solver()
             for clause in _pigeonhole(5):
                 solver.add_clause(clause)
             solver.solve()
         finally:
-            set_progress(previous_bus)
             set_tracer(previous_tracer)
             tracer.close()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -195,6 +148,25 @@ class TestHeartbeatTransport:
         assert beats
         assert all(d["pid"] > 0 for d in beats)
         assert beats[-1]["conflicts"] >= beats[0]["conflicts"]
+
+    def test_heartbeats_carry_the_enclosing_span(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path), heartbeat_interval=1)
+        previous_tracer = set_tracer(tracer)
+        try:
+            with tracer.span("solve") as span:
+                solver = Solver()
+                for clause in _pigeonhole(4):
+                    solver.add_clause(clause)
+                solver.solve()
+        finally:
+            set_tracer(previous_tracer)
+            tracer.close()
+        events = read_events(str(path))[1]
+        assert events
+        assert {(e["trace_id"], e["span_id"]) for e in events} == {
+            (span.trace_id, span.span_id)
+        }
 
     def test_emit_event_requires_event_key(self, tmp_path):
         tracer = JsonlTracer(str(tmp_path / "t.jsonl"))
@@ -204,19 +176,31 @@ class TestHeartbeatTransport:
         finally:
             tracer.close()
 
-    def test_enable_progress_sets_env_for_workers(self, monkeypatch):
-        monkeypatch.delenv(PROGRESS_ENV, raising=False)
-        previous = get_progress()
-        try:
-            bus = enable_progress(interval=64)
-            import os
-
-            assert os.environ[PROGRESS_ENV] == "64"
-            assert get_progress() is bus
-            assert bus.interval == 64
-        finally:
-            set_progress(previous)
-            monkeypatch.delenv(PROGRESS_ENV, raising=False)
+    def test_env_sets_the_import_time_tracers_interval(self, tmp_path):
+        """REPRO_TRACE / REPRO_PROGRESS are read once at import: the
+        tracer they create heartbeats at the given interval (the default
+        for a non-numeric value, none without REPRO_PROGRESS)."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "from repro.obs import get_tracer; "
+            "print(get_tracer().heartbeat_interval)"
+        )
+        trace = str(tmp_path / "env.jsonl")
+        for progress, want in (("64", 64), ("yes", DEFAULT_INTERVAL),
+                               (None, 0)):
+            env = {
+                k: v for k, v in os.environ.items()
+                if not k.startswith("REPRO_")
+            }
+            env.update({"PYTHONPATH": src, TRACE_ENV: trace})
+            if progress is not None:
+                env[PROGRESS_ENV] = progress
+            out = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=60,
+            ).stdout
+            assert int(out) == want
 
 
 class TestHeartbeatMonitor:
@@ -328,19 +312,10 @@ class TestHeartbeatMonitor:
 
 
 class TestZeroCostIdentity:
-    def test_default_bus_is_null(self, monkeypatch):
-        monkeypatch.delenv(PROGRESS_ENV, raising=False)
-        import importlib
-
-        from repro.obs import progress as progress_module
-
-        # Reimporting with the env unset must land back on the null bus.
-        importlib.reload(progress_module)
-        try:
-            assert not progress_module.get_progress().enabled
-            assert progress_module.get_progress().interval == 0
-        finally:
-            importlib.reload(progress_module)
+    def test_default_tracer_never_heartbeats(self):
+        assert NULL_TRACER.heartbeat_interval == 0
+        if not os.environ.get(TRACE_ENV):
+            assert get_tracer().heartbeat_interval == 0
 
     def test_findings_identical_with_telemetry_on_and_off(self, tmp_path):
         """The observability acceptance bar: enabling every telemetry layer
@@ -349,7 +324,7 @@ class TestZeroCostIdentity:
 
         from repro.benchsuite.running_example import build_app1, build_app2
         from repro.obs import enable_metrics, set_metrics, NULL_METRICS
-        from repro.obs import enable_tracing, NULL_TRACER
+        from repro.obs import enable_tracing
         from repro.pipeline import AnalysisPipeline, NullCache
 
         apks = [build_app1(), build_app2()]
@@ -362,21 +337,15 @@ class TestZeroCostIdentity:
 
         plain = run()
 
-        tracer = enable_tracing(str(tmp_path / "t.jsonl"))
+        path = tmp_path / "t.jsonl"
+        tracer = enable_tracing(str(path), heartbeat_interval=1)
         enable_metrics()
-        bus = enable_progress(interval=1)
         try:
             telemetered = run()
         finally:
             set_tracer(NULL_TRACER)
             set_metrics(NULL_METRICS)
-            set_progress(NULL_PROGRESS)
             tracer.close()
-            import os
-
-            os.environ.pop("REPRO_TRACE", None)
-            os.environ.pop("REPRO_METRICS", None)
-            os.environ.pop(PROGRESS_ENV, None)
 
         assert telemetered == plain
-        assert bus.ring.seq > 0  # telemetry actually ran
+        assert _beats(path)  # telemetry actually ran

@@ -192,18 +192,19 @@ class TestRoundTrip:
         assert len(lines) == 1
         assert "event" not in json.loads(lines[0])
 
-    def test_enable_tracing_sets_env_for_workers(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(TRACE_ENV, raising=False)
+    def test_enable_tracing_installs_without_touching_env(self, tmp_path):
         path = tmp_path / "t.jsonl"
+        environ = dict(os.environ)
         previous = get_tracer()
-        t = enable_tracing(str(path))
+        t = enable_tracing(str(path), heartbeat_interval=64)
         try:
-            assert os.environ[TRACE_ENV] == str(path)
             assert get_tracer() is t
+            assert t.path == str(path)
+            assert t.heartbeat_interval == 64
+            assert dict(os.environ) == environ
         finally:
             set_tracer(previous)
             t.close()
-            monkeypatch.delenv(TRACE_ENV, raising=False)
 
 
 class TestTraceContext:

@@ -16,7 +16,9 @@ recovery tests whose assertions are granularity-independent run on the
 shared default, and ``TestSharedModeFaults`` covers the bundle-level
 failure unit explicitly."""
 
+import errno
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -336,6 +338,108 @@ class TestPerTaskTimeout:
         assert "information_leak" in grouped
 
 
+class TestNoProcessSupport:
+    """``ProcessPoolExecutor`` starts its workers inside ``submit``; when
+    process creation fails there (fork's EAGAIN), the run still finishes,
+    in-process, with the findings of a ``jobs=1`` run."""
+
+    def _starts(self, monkeypatch, real_starts):
+        import multiprocessing.process
+
+        original = multiprocessing.process.BaseProcess.start
+        calls = []
+
+        def start(process):
+            calls.append(process)
+            if len(calls) > real_starts:
+                raise BlockingIOError(
+                    errno.EAGAIN, "Resource temporarily unavailable"
+                )
+            original(process)
+
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", start
+        )
+        return calls
+
+    def test_workers_that_cannot_start_finish_in_process(
+        self, monkeypatch
+    ):
+        bundles = [_apks(), _apks()]
+        serial = AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+            bundles
+        )
+        calls = self._starts(monkeypatch, real_starts=0)
+        result = AnalysisPipeline(jobs=2, scenarios_per_signature=3).run(
+            bundles
+        )
+        assert calls, "the pool never tried to start a worker"
+        assert multiprocessing.active_children() == []
+        assert result.run_report.failures == []
+        assert _findings_bytes(result) == _findings_bytes(serial)
+
+    def test_manager_thread_that_cannot_start_finishes_in_process(
+        self, monkeypatch
+    ):
+        """With no threads left, ``submit`` raises ``RuntimeError`` when
+        it starts the pool's manager thread; that too means no pool
+        support, not a round to requeue forever."""
+        from concurrent.futures import process as futures_process
+
+        bundles = [_apks(), _apks()]
+        serial = AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+            bundles
+        )
+        original = futures_process._ExecutorManagerThread.start
+        calls = []
+
+        def start(thread):
+            calls.append(thread)
+            if len(calls) > 20:
+                # Let an executor that keeps retrying finish, so this
+                # test fails on the count below instead of hanging.
+                return original(thread)
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(
+            futures_process._ExecutorManagerThread, "start", start
+        )
+        result = AnalysisPipeline(jobs=2, scenarios_per_signature=3).run(
+            bundles
+        )
+        # One pool attempt for each of the two maps (extraction and
+        # synthesis), after which each finishes in-process.
+        assert len(calls) == 2
+        assert multiprocessing.active_children() == []
+        assert result.run_report.failures == []
+        assert _findings_bytes(result) == _findings_bytes(serial)
+
+    def test_start_failure_with_a_task_in_flight_breaks_the_pool(
+        self, monkeypatch
+    ):
+        """Under spawn each ``submit`` starts one worker: the second one
+        failing, with the first task in flight, is a pool break, not a
+        missing pool -- the in-flight task is re-run in isolation."""
+        from repro.obs import metrics as obs_metrics
+
+        bundles = [_apks(), _apks()]
+        serial = AnalysisPipeline(jobs=1, scenarios_per_signature=3).run(
+            bundles
+        )
+        self._starts(monkeypatch, real_starts=1)
+        registry = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_metrics(registry)
+        try:
+            result = AnalysisPipeline(
+                jobs=2, scenarios_per_signature=3, start_method="spawn"
+            ).run(bundles)
+        finally:
+            obs_metrics.set_metrics(previous)
+        assert registry.counter("pipeline.pool_breaks").value == 1
+        assert result.run_report.failures == []
+        assert _findings_bytes(result) == _findings_bytes(serial)
+
+
 class TestBudgetDegradation:
     def test_engine_conflict_budget_degrades(self):
         bundle = extract_bundle(_apks())
@@ -485,7 +589,6 @@ class TestMetricsNoDoubleCount:
                     out[name] = value.get("value")
             return out
 
-        os.environ[obs_metrics.METRICS_ENV] = "1"
         try:
             serial_registry = obs_metrics.MetricsRegistry()
             obs_metrics.set_metrics(serial_registry)
@@ -515,7 +618,6 @@ class TestMetricsNoDoubleCount:
             assert serial == broken
         finally:
             obs_metrics.set_metrics(obs_metrics.NULL_METRICS)
-            os.environ.pop(obs_metrics.METRICS_ENV, None)
 
 
 class TestSynthesisStatsMerge:
@@ -570,7 +672,6 @@ class TestSolverBudgetMetrics:
         a budget miss publishes sat.* counters on the exception path."""
         from repro.obs import metrics as obs_metrics
 
-        os.environ[obs_metrics.METRICS_ENV] = "1"
         try:
             registry = obs_metrics.MetricsRegistry()
             obs_metrics.set_metrics(registry)
@@ -588,4 +689,3 @@ class TestSolverBudgetMetrics:
             assert snapshot["sat.conflicts"]["value"] >= 1
         finally:
             obs_metrics.set_metrics(obs_metrics.NULL_METRICS)
-            os.environ.pop(obs_metrics.METRICS_ENV, None)

@@ -1,6 +1,7 @@
 """Observability through the pipeline: run-report round-trips carrying
 spans/metrics/cost, attach_observability, traced end-to-end runs, and
-cross-process span propagation under both pool start methods."""
+cross-process propagation of spans, heartbeats and metrics under both
+pool start methods."""
 
 import importlib.util
 import multiprocessing
@@ -14,11 +15,13 @@ from repro.obs import (
     NULL_COST_LEDGER,
     NULL_METRICS,
     NULL_TRACER,
-    TRACE_ENV,
     CostLedger,
     InMemoryTracer,
+    JsonlTracer,
     MetricsRegistry,
+    ProgressSnapshot,
     enable_tracing,
+    read_events,
     set_cost_ledger,
     set_metrics,
     set_tracer,
@@ -43,6 +46,27 @@ def check_trace_integrity(path, expect_roots=1):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.check_trace(str(path), expect_roots=expect_roots)
+
+
+def assert_worker_spans_join_dispatch(records):
+    """Work crossed a process boundary, and every worker span resolves
+    to the orchestrator's dispatch stage span under the run's one trace
+    id, below a single ``pipeline.run`` root."""
+    by_id = {r.span_id: r for r in records}
+    roots = [r for r in records if r.parent_id is None]
+    assert [r.name for r in roots] == ["pipeline.run"]
+    assert roots[0].pid == os.getpid()
+    worker_spans = [r for r in records if r.pid != os.getpid()]
+    assert worker_spans, "no spans from worker processes"
+    trace_id = roots[0].trace_id
+    assert trace_id
+    for record in worker_spans:
+        assert record.trace_id == trace_id
+        top = record
+        while by_id[top.parent_id].pid != os.getpid():
+            top = by_id[top.parent_id]
+        dispatch = by_id[top.parent_id]
+        assert dispatch.name in ("pipeline.extract", "pipeline.synthesis")
 
 
 @pytest.fixture
@@ -177,6 +201,37 @@ class TestTracedPipelineRun:
         assert ledger.totals()["cache_misses"] > 0
 
 
+class TestTraceIntegrityHeartbeats:
+    def test_untagged_or_dangling_heartbeats_are_flagged(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path))
+        snapshot = ProgressSnapshot(
+            ts=0.0, pid=7, solve_id=1, conflicts=0, decisions=0,
+            propagations=0, restarts=0, learned=0, trail=0,
+            conflicts_per_sec=0.0,
+        )
+        try:
+            with tracer.span("pipeline.run") as root:
+                tracer.heartbeat(snapshot)  # tagged with the open span
+            assert check_trace_integrity(path) == []
+            tracer.emit_event({"event": "progress", "pid": 8})
+            tracer.emit_event(
+                {
+                    "event": "progress",
+                    "pid": 9,
+                    "trace_id": root.trace_id,
+                    "span_id": "9-999",
+                }
+            )
+        finally:
+            tracer.close()
+        problems = check_trace_integrity(path)
+        assert len(problems) == 3
+        assert all("heartbeat from pid" in p for p in problems)
+        assert sum("pid 8" in p for p in problems) == 2  # no id, no span
+        assert sum("'9-999'" in p for p in problems) == 1
+
+
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 class TestCrossProcessPropagation:
     """Worker spans must join the orchestrator's trace whether workers
@@ -197,36 +252,13 @@ class TestCrossProcessPropagation:
         finally:
             set_tracer(NULL_TRACER)
             tracer.close()
-            os.environ.pop(TRACE_ENV, None)
         return read_trace(str(path))
 
     def test_worker_spans_parent_under_dispatch_span(
         self, tmp_path, start_method
     ):
         records = self._traced_parallel_run(tmp_path, start_method)
-        by_id = {r.span_id: r for r in records}
-
-        # Exactly one root: the orchestrator's pipeline.run span.
-        roots = [r for r in records if r.parent_id is None]
-        assert [r.name for r in roots] == ["pipeline.run"]
-        assert roots[0].pid == os.getpid()
-
-        # Work really crossed a process boundary...
-        worker_spans = [r for r in records if r.pid != os.getpid()]
-        assert worker_spans, "no spans from worker processes"
-
-        # ...and every worker task span resolves to the orchestrator's
-        # dispatch stage span, carrying the run's trace id.
-        trace_id = roots[0].trace_id
-        assert trace_id
-        for record in worker_spans:
-            assert record.trace_id == trace_id
-            top = record
-            while by_id[top.parent_id].pid != os.getpid():
-                top = by_id[top.parent_id]
-            dispatch = by_id[top.parent_id]
-            assert dispatch.name in ("pipeline.extract", "pipeline.synthesis")
-
+        assert_worker_spans_join_dispatch(records)
         # The CI checker agrees: no orphans, one root, one trace.
         assert check_trace_integrity(tmp_path / "t.jsonl") == []
 
@@ -237,3 +269,62 @@ class TestCrossProcessPropagation:
         trace_ids = {r.trace_id for r in records}
         assert len(trace_ids) == 1
         assert None not in trace_ids
+
+    def test_telemetry_reaches_workers_without_env(
+        self, tmp_path, monkeypatch, start_method
+    ):
+        """The task envelope is the only telemetry channel into workers:
+        with no REPRO_* variable set, a tracer and registry installed in
+        the parent reach forked and spawned workers alike.  Two bundles,
+        so synthesis is pooled as well as extraction."""
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {start_method!r} unavailable")
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
+        bundles = [[build_app1(), build_app2()], [build_app1(), build_app2()]]
+
+        def comparable(snapshot):
+            # Counters compare by value; timing histograms by observation
+            # count (their sums are wall-clock and legitimately vary).
+            return {
+                name: value.get("count")
+                if value.get("type") == "histogram"
+                else value.get("value")
+                for name, value in snapshot.items()
+                if name.startswith(("sat.", "ame.", "ase."))
+            }
+
+        serial = MetricsRegistry()
+        pooled = MetricsRegistry()
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path), heartbeat_interval=1)
+        prev_metrics = set_metrics(serial)
+        try:
+            AnalysisPipeline(
+                jobs=1, cache=NullCache(), scenarios_per_signature=2
+            ).run(bundles)
+            set_metrics(pooled)
+            prev_tracer = set_tracer(tracer)
+            try:
+                AnalysisPipeline(
+                    jobs=2,
+                    cache=NullCache(),
+                    scenarios_per_signature=2,
+                    start_method=start_method,
+                ).run(bundles)
+            finally:
+                set_tracer(prev_tracer)
+                tracer.close()
+        finally:
+            set_metrics(prev_metrics)
+
+        records, events = read_events(str(path))
+        assert_worker_spans_join_dispatch(records)
+        # Clean, heartbeat tagging included.
+        assert check_trace_integrity(path) == []
+        beat_pids = {e["pid"] for e in events if e.get("event") == "progress"}
+        assert beat_pids - {os.getpid()}, "no heartbeats from workers"
+        expected = comparable(serial.snapshot())
+        assert any(name.startswith("sat.") for name in expected)
+        assert comparable(pooled.snapshot()) == expected

@@ -17,7 +17,9 @@ Checks, in order:
    (default 1);
 4. every span carries a trace id, children inherit their parent's, and
    the file holds exactly as many distinct trace ids as roots;
-5. no span is left open (begin without end) unless ``--allow-open``.
+5. no span is left open (begin without end) unless ``--allow-open``;
+6. every solver heartbeat (``progress`` event) carries one of the
+   trace's ids and a ``span_id`` that resolves to a span in the trace.
 
 Exit status: 0 when the trace is intact, 1 otherwise (one line per
 violation).  Importable from tests: ``check_trace(path)`` returns the
@@ -36,7 +38,7 @@ _SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.obs import read_trace  # noqa: E402
+from repro.obs import read_events  # noqa: E402
 
 
 def check_trace(
@@ -45,7 +47,7 @@ def check_trace(
     allow_open: bool = False,
 ) -> List[str]:
     """Return every integrity violation in the trace at ``path``."""
-    records = read_trace(path)
+    records, events = read_events(path)
     problems: List[str] = []
     if not records:
         return [f"{path}: no spans recorded"]
@@ -104,6 +106,20 @@ def check_trace(
                     f"span {record.span_id!r} ({record.name}) never "
                     "completed (begin without end)"
                 )
+
+    for event in events:
+        if event.get("event") != "progress":
+            continue
+        if event.get("trace_id") not in trace_ids:
+            problems.append(
+                f"heartbeat from pid {event.get('pid')} carries trace id "
+                f"{event.get('trace_id')!r}, not one of the trace's"
+            )
+        if event.get("span_id") not in by_id:
+            problems.append(
+                f"heartbeat from pid {event.get('pid')} names span "
+                f"{event.get('span_id')!r}, which is not in the trace"
+            )
     return problems
 
 
@@ -138,10 +154,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if problems:
         print(f"{len(problems)} integrity violation(s)")
         return 1
-    records = read_trace(args.trace_file)
+    records, events = read_events(args.trace_file)
     trace_ids = sorted({r.trace_id for r in records if r.trace_id})
+    heartbeats = sum(1 for e in events if e.get("event") == "progress")
     print(
-        f"{args.trace_file}: {len(records)} spans, "
+        f"{args.trace_file}: {len(records)} spans, {heartbeats} heartbeats, "
         f"{len(trace_ids)} trace(s) {trace_ids}, tree intact"
     )
     return 0
