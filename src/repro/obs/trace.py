@@ -102,24 +102,10 @@ class TraceContext:
     boundaries as they are (each pipeline task's telemetry envelope
     carries one); the receiving side calls :func:`adopt_trace_context`
     so its spans join the sender's tree instead of rooting a new one.
-    :meth:`to_dict` / :meth:`from_dict` give the JSON form.
     """
 
     trace_id: str
     span_id: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"trace_id": self.trace_id}
-        if self.span_id is not None:
-            data["span_id"] = self.span_id
-        return data
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "TraceContext":
-        return TraceContext(
-            trace_id=str(data["trace_id"]),
-            span_id=data.get("span_id"),
-        )
 
     @staticmethod
     def new() -> "TraceContext":

@@ -5,12 +5,17 @@ computation depends on: the app/bundle content, the engine parameters, the
 vulnerability signature, and a fingerprint of the analysis code itself
 (framework meta-model, translator, solver).  Any change to the inputs or
 to the analysis semantics therefore changes the key and the stale entry is
-simply never addressed again; entries whose on-disk envelope predates the
-current format version are discarded and counted as invalidations.
+simply never addressed again.  An entry that is not a current-version
+envelope -- an older format version, or valid JSON of another shape -- is
+discarded and counted as an invalidation.
 
 Canonical JSON matters: ``frozenset`` iteration order varies across
 interpreter runs under hash randomization, so every set is sorted (by its
-own canonical encoding) before hashing.
+members' canonical encodings) before hashing.  :func:`canonical_json`
+writes the encoding in one pass over the object tree, appending compact
+fragments to one list; its bytes equal those of every earlier build, so
+caches filled before stay addressable (``TestKeyStability`` in
+``tests/pipeline/test_cache.py`` pins them).
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import pathlib
 import tempfile
 import threading
 from functools import lru_cache
-from typing import Any, Dict, Optional
+from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import get_metrics
 from repro.pipeline.stats import CacheAccounting
@@ -39,50 +46,177 @@ CACHE_FORMAT_VERSION = 1
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-def canonical(obj: Any) -> Any:
-    """Reduce an object tree to deterministic JSON-encodable data.
+_INFINITY = float("inf")
 
-    Handles dataclasses, enums, sets/frozensets (sorted by their canonical
-    encoding), mappings (sorted keys), and sequences.
+#: Key types of a dict that encodes as a plain JSON object.
+_STR_ONLY = frozenset({str})
+
+_Plan = Tuple[str, Tuple[Tuple[str, str], ...]]
+_Append = Callable[[str], None]
+
+#: Dataclass class -> its plan: the ``{"__dataclass__":...,"fields":{``
+#: head, then each field name (sorted) with its encoded ``"name":``
+#: prefix.  A memo of a pure function of the class, bounded by the number
+#: of dataclass types; never keyed per instance.
+_DATACLASS_PLANS: Dict[type, _Plan] = {}
+
+
+def _dataclass_plan(cls: type) -> _Plan:
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    head = '{"__dataclass__":' + _encode_str(cls.__name__) + ',"fields":{'
+    fields = tuple(
+        (name, ("," if i else "") + _encode_str(name) + ":")
+        for i, name in enumerate(names)
+    )
+    return head, fields
+
+
+def _encode_float(obj: float) -> str:
+    # ``json.dumps`` spelling: repr, or its non-finite literals.
+    if obj != obj:
+        return "NaN"
+    if obj == _INFINITY:
+        return "Infinity"
+    if obj == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(obj)
+
+
+def _encode_sequence(obj: Any, append: _Append) -> None:
+    sep = "["  # becomes "," once the first item is out
+    for item in obj:
+        if type(item) is str:
+            append(sep + _encode_str(item))
+        else:
+            append(sep)
+            _encode(item, append)
+        sep = ","
+    append("]" if sep == "," else "[]")
+
+
+def _encode_set(obj: Any, append: _Append) -> None:
+    # Members in the order of their encodings.  Sorting compact encodings
+    # orders exactly as sorting ``json.dumps`` output with its default
+    # ", " and ": " separators: the structural space never decides a
+    # comparison.
+    append("[" + ",".join(sorted(map(canonical_json, obj))) + "]")
+
+
+def _encode_mapping(obj: Dict[Any, Any], append: _Append) -> None:
+    # Plain form only when every key is a genuine str: stringifying other
+    # key types would collide 1 with "1" (and True with "True"), letting
+    # two different inputs share one cache key.  Other dicts get a pair
+    # list ordered by each key's encoding (stable on ties), which keeps
+    # every key's type.
+    if _STR_ONLY.issuperset(map(type, obj)):
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            append(sep + _encode_str(key) + ":")
+            sep = ","
+            _encode(value, append)
+        append("}" if sep == "," else "{}")
+        return
+    pairs = sorted(
+        ((canonical_json(k), v) for k, v in obj.items()),
+        key=itemgetter(0),
+    )
+    append('{"__map__":[')
+    sep = "["
+    for key, value in pairs:
+        append(sep + key + ",")
+        sep = ",["
+        _encode(value, append)
+        append("]")
+    append("]}")
+
+
+def _encode(obj: Any, append: _Append) -> None:
+    """Append the canonical JSON of ``obj`` as fragments.
+
+    Exact builtin types and dataclasses with a plan take the fast paths.
+    Anything else is classified by ``isinstance`` in the order the
+    encoding is defined in -- dataclass, enum, set, dict, list or tuple,
+    primitive -- so subclasses (``OrderedDict``, ``str``-mixin enums)
+    encode as their base form dictates.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            "__dataclass__": type(obj).__name__,
-            "fields": {
-                f.name: canonical(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
-            },
-        }
+    cls = type(obj)
+    if cls is str:
+        append(_encode_str(obj))
+    elif obj is None:
+        append("null")
+    elif obj is True:
+        append("true")
+    elif obj is False:
+        append("false")
+    elif cls is int:
+        append(int.__repr__(obj))
+    elif cls is float:
+        append(_encode_float(obj))
+    elif cls is list or cls is tuple:
+        _encode_sequence(obj, append)
+    elif cls is dict:
+        _encode_mapping(obj, append)
+    elif cls is frozenset or cls is set:
+        _encode_set(obj, append)
+    else:
+        plan = _DATACLASS_PLANS.get(cls)
+        if plan is None:
+            if not dataclasses.is_dataclass(obj) or isinstance(obj, type):
+                _encode_by_isinstance(obj, append)
+                return
+            plan = _DATACLASS_PLANS[cls] = _dataclass_plan(cls)
+        head, fields = plan
+        append(head)
+        for name, prefix in fields:
+            value = getattr(obj, name)
+            if type(value) is str:
+                append(prefix + _encode_str(value))
+            else:
+                append(prefix)
+                _encode(value, append)
+        append("}}")
+
+
+def _encode_by_isinstance(obj: Any, append: _Append) -> None:
     if isinstance(obj, enum.Enum):
-        return {"__enum__": type(obj).__name__, "name": obj.name}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(
-            (canonical(item) for item in obj),
-            key=lambda c: json.dumps(c, sort_keys=True),
+        append(
+            '{"__enum__":' + _encode_str(type(obj).__name__)
+            + ',"name":' + _encode_str(obj.name) + "}"
         )
-    if isinstance(obj, dict):
-        # Plain form only when every key is a genuine str: stringifying
-        # other key types would collide 1 with "1" (and True with "True"),
-        # letting two different inputs share one cache key.  Mixed or
-        # non-str keys get an explicit pair-list form that preserves each
-        # key's canonical encoding (and therefore its type).
-        if all(type(k) is str for k in obj):
-            return {k: canonical(v) for k, v in sorted(obj.items())}
-        return {
-            "__map__": sorted(
-                ([canonical(k), canonical(v)] for k, v in obj.items()),
-                key=lambda kv: json.dumps(kv[0], sort_keys=True),
-            )
-        }
-    if isinstance(obj, (list, tuple)):
-        return [canonical(item) for item in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+    elif isinstance(obj, (set, frozenset)):
+        _encode_set(obj, append)
+    elif isinstance(obj, dict):
+        _encode_mapping(obj, append)
+    elif isinstance(obj, (list, tuple)):
+        _encode_sequence(obj, append)
+    elif isinstance(obj, str):
+        append(_encode_str(obj))
+    elif isinstance(obj, int):  # never a bool: ``_encode`` wrote those
+        append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        append(_encode_float(obj))
+    else:
+        raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    """Deterministic compact JSON of an object tree, built in one pass.
+
+    Dataclasses encode as ``{"__dataclass__":<class name>,"fields":{...}}``,
+    enums as ``{"__enum__":<class name>,"name":<member>}``, sets and
+    frozensets as lists sorted by member encoding, dicts with only ``str``
+    keys as objects with sorted keys, other dicts as
+    ``{"__map__":[[key,value],...]}`` ordered by key encoding, and tuples
+    as lists; strings are ASCII-escaped and floats use ``json.dumps``
+    spelling.  The bytes equal ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` over the equivalent tree of plain data, so
+    keys match every cache an earlier build filled.
+    """
+    if type(obj) is str:  # most set members and map keys
+        return _encode_str(obj)
+    parts: List[str] = []
+    _encode(obj, parts.append)
+    return "".join(parts)
 
 
 def content_hash(obj: Any) -> str:
@@ -175,8 +309,10 @@ class PipelineCache:
     """A directory of JSON entries addressed by content hash.
 
     Layout: ``<root>/<namespace>/<hash[:2]>/<hash>.json``.  Entries carry a
-    format-version envelope; a version mismatch counts as an invalidation
-    (the file is removed) plus a miss.
+    format-version envelope, ``{"version": ..., "payload": {...}}``.  A
+    version mismatch, or a file that parses as JSON but is not such an
+    envelope, counts as an invalidation (the file is removed) plus a miss;
+    a file that cannot be read or parsed is a plain miss.
     """
 
     def __init__(self, root: Optional[pathlib.Path] = None) -> None:
@@ -196,7 +332,12 @@ class PipelineCache:
             if metrics.enabled:
                 metrics.counter(f"cache.{namespace}.misses").inc()
             return None
-        if envelope.get("version") != CACHE_FORMAT_VERSION:
+        if not (
+            isinstance(envelope, dict)
+            and envelope.get("version") == CACHE_FORMAT_VERSION
+            and isinstance(envelope.get("payload"), dict)
+        ):
+            # A stale format version, or valid JSON that is no envelope.
             self.accounting.record_invalidation(namespace)
             self.accounting.record_miss(namespace)
             if metrics.enabled:
