@@ -68,6 +68,17 @@ from repro.core.model import BundleModel
 from repro.core.separ import Separ
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.benchsuite.running_example import build_app1, build_app2
 
@@ -777,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=8,
         help="max scenarios to enumerate per vulnerability signature "
         "(default: %(default)s)",
@@ -826,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=8,
         help="max scenarios per signature (default: %(default)s)",
     )
@@ -858,13 +869,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--bundle-size",
-        type=int,
+        type=_positive_int,
         default=8,
         help="apps per bundle (default: %(default)s)",
     )
     pipeline.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=4,
         help="max scenarios per signature (default: %(default)s)",
     )
@@ -961,7 +972,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=8,
         help="max scenarios per signature during synthesis "
         "(default: %(default)s)",
@@ -1123,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=2,
         help="max scenarios per signature (default: %(default)s)",
     )
@@ -1254,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     adversarial.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=4,
         help="max scenarios per signature during analysis "
         "(default: %(default)s)",
@@ -1304,13 +1315,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--bundle-size",
-        type=int,
+        type=_positive_int,
         default=8,
         help="apps per pipeline bundle (default: %(default)s)",
     )
     bench.add_argument(
         "--scenarios",
-        type=int,
+        type=_positive_int,
         default=2,
         help="max scenarios per signature (default: %(default)s)",
     )

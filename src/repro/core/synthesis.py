@@ -175,6 +175,9 @@ class AnalysisAndSynthesisEngine:
         time_budget_seconds: Optional[float] = None,
         shared_encoding: bool = True,
     ) -> None:
+        if scenarios_per_signature < 1:
+            # Zero would skip enumeration and report every bundle clean.
+            raise ValueError("scenarios_per_signature must be at least 1")
         self.signatures = (
             list(signatures) if signatures is not None else default_signatures()
         )

@@ -355,6 +355,10 @@ class AnalysisPipeline:
         shared_encoding: bool = True,
         start_method: Optional[str] = None,
     ) -> None:
+        if scenarios_per_signature < 1:
+            # Checked here too: the engine is only built inside synthesis
+            # tasks, after extraction, where this would fail per bundle.
+            raise ValueError("scenarios_per_signature must be at least 1")
         self.jobs = max(1, jobs)
         #: Pool start method ("fork", "spawn", ...); ``None`` = platform
         #: default.  Telemetry rides in each task's envelope, so

@@ -30,16 +30,33 @@ class Matrix:
 
     Missing entries are FALSE.  TRUE/FALSE constants are folded eagerly by
     the circuit factories, so lower-bound tuples cost nothing downstream.
+
+    ``entries`` is never mutated after construction: every producer builds
+    a fresh dict.  That is what makes the leading-atom index sound to
+    cache -- it is built the first time the matrix is the right operand
+    of a join and reused by every later join.
     """
 
-    __slots__ = ("arity", "entries")
+    __slots__ = ("arity", "entries", "_by_head")
 
     def __init__(self, arity: int, entries: Dict[AtomIndexTuple, ts.Node]) -> None:
         self.arity = arity
         self.entries = {k: v for k, v in entries.items() if v is not ts.FALSE}
+        self._by_head: Optional[
+            Dict[int, List[Tuple[AtomIndexTuple, ts.Node]]]
+        ] = None
 
     def get(self, key: AtomIndexTuple) -> ts.Node:
         return self.entries.get(key, ts.FALSE)
+
+    def by_head(self) -> Dict[int, List[Tuple[AtomIndexTuple, ts.Node]]]:
+        """Entries grouped by leading atom: ``{atom: [(rest, node), ...]}``."""
+        if self._by_head is None:
+            index: Dict[int, List[Tuple[AtomIndexTuple, ts.Node]]] = {}
+            for key, node in self.entries.items():
+                index.setdefault(key[0], []).append((key[1:], node))
+            self._by_head = index
+        return self._by_head
 
     def __repr__(self) -> str:
         return f"Matrix(arity={self.arity}, {len(self.entries)} entries)"
@@ -164,10 +181,7 @@ class Translator:
 
     def _join(self, left: Matrix, right: Matrix) -> Matrix:
         arity = left.arity + right.arity - 2
-        # Index right-hand entries by leading atom.
-        by_head: Dict[int, List[Tuple[AtomIndexTuple, ts.Node]]] = {}
-        for rkey, rnode in right.entries.items():
-            by_head.setdefault(rkey[0], []).append((rkey[1:], rnode))
+        by_head = right.by_head()
         combined: Dict[AtomIndexTuple, List[ts.Node]] = {}
         for lkey, lnode in left.entries.items():
             tail = lkey[-1]

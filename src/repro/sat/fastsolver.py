@@ -36,6 +36,13 @@ memory layout instead of an object graph:
   attached against the live trail (backtracking just far enough when
   the new clause is unit or conflicting under it), so enumeration
   blocking and minimization pin clauses keep the prefix warm.
+- **Root-level intake**: the relational layer adds its translated
+  clauses before any decision exists.  There every assignment is a root
+  fact, so once root-false and duplicate literals are dropped the rest
+  are unassigned, and ``add_clause`` attaches the clause in its own
+  literal order -- the order ``_attach_live`` would pick -- without
+  going through it.  The variable tables grow only when a literal
+  exceeds ``num_vars``, not through a call per literal.
 
 The semantics are identical to the reference solver: same
 ``SolveResult``/:class:`~repro.sat.solver.Model` contract, same
@@ -170,8 +177,9 @@ class FastSolver:
         for lit in literals:
             if lit == 0:
                 raise ValueError("0 is not a valid literal")
-            self.ensure_var(abs(lit))
             e = (lit << 1) if lit > 0 else ((-lit) << 1) | 1
+            if e >> 1 > self._num_vars:
+                self.ensure_var(e >> 1)
             val = value[e]
             rooted = val != _UNDEF and level[e >> 1] == 0
             if (rooted and val == _TRUE) or (e ^ 1) in seen:
@@ -191,6 +199,11 @@ class FastSolver:
                 return False
             self._ok = self._propagate() < 0
             return self._ok
+        if not self._trail_lim:
+            # At the root every assigned literal was dropped above: the
+            # clause is attached in its own order, as _attach_live would.
+            self._attach(lits, learned=False)
+            return True
         return self._attach_live(lits)
 
     def _attach_live(self, lits: List[int]) -> bool:

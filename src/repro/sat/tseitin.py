@@ -69,54 +69,66 @@ def not_(operand: Node) -> Node:
     return Node("not", (operand,))
 
 
-def _flatten(kind: str, operands: Iterable[Node]) -> List[Node]:
-    flat: List[Node] = []
-    for op in operands:
-        if op.kind == kind:
-            flat.extend(op.children)
+def _fold(
+    kind: str, operands: Tuple[Node, ...], absorbing: Node, identity: Node
+) -> Node:
+    """Build an ``and``/``or`` node, folding constants and redundancy.
+
+    Same-kind operands are flattened one level; an ``absorbing`` constant
+    (or a complementary pair) decides the result, ``identity`` constants
+    and duplicates drop out.  Complements are found without building a
+    ``not`` node per operand: a ``not`` operand complements a kept child,
+    and any other operand complements the child of a kept ``not``.
+
+    A lone operand, or one beside ``identity``, is returned as is:
+    factory-built nodes are already folded, so rebuilding it would give
+    an equal node (and the Tseitin cache, keyed by equality, the same
+    variable).
+    """
+    if len(operands) == 1:
+        return operands[0]
+    if len(operands) == 2:
+        first, second = operands
+        if first is identity:
+            return second
+        if second is identity:
+            return first
+    ops: List[Node] = []
+    for operand in operands:
+        if operand.kind == kind:
+            ops.extend(operand.children)
         else:
-            flat.append(op)
-    return flat
+            ops.append(operand)
+    kept: List[Node] = []
+    seen = set()
+    negated = set()  # children of kept ``not`` operands
+    for op in ops:
+        if op is absorbing:
+            return absorbing
+        if op is identity or op in seen:
+            continue
+        if op.kind == "not":
+            child = op.children[0]
+            if child in seen:
+                return absorbing
+            negated.add(child)
+        elif negated and op in negated:
+            return absorbing
+        seen.add(op)
+        kept.append(op)
+    if not kept:
+        return identity
+    if len(kept) == 1:
+        return kept[0]
+    return Node(kind, tuple(kept))
 
 
 def and_(*operands: Node) -> Node:
-    ops = _flatten("and", operands)
-    kept: List[Node] = []
-    seen = set()
-    for op in ops:
-        if op is FALSE:
-            return FALSE
-        if op is TRUE or op in seen:
-            continue
-        if not_(op) in seen:
-            return FALSE
-        seen.add(op)
-        kept.append(op)
-    if not kept:
-        return TRUE
-    if len(kept) == 1:
-        return kept[0]
-    return Node("and", tuple(kept))
+    return _fold("and", operands, FALSE, TRUE)
 
 
 def or_(*operands: Node) -> Node:
-    ops = _flatten("or", operands)
-    kept: List[Node] = []
-    seen = set()
-    for op in ops:
-        if op is TRUE:
-            return TRUE
-        if op is FALSE or op in seen:
-            continue
-        if not_(op) in seen:
-            return TRUE
-        seen.add(op)
-        kept.append(op)
-    if not kept:
-        return FALSE
-    if len(kept) == 1:
-        return kept[0]
-    return Node("or", tuple(kept))
+    return _fold("or", operands, TRUE, FALSE)
 
 
 def implies(premise: Node, conclusion: Node) -> Node:

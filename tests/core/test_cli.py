@@ -85,6 +85,42 @@ class TestVersion:
                 assert "--jobs" not in out
 
 
+class TestCountFlags:
+    """``--scenarios`` and ``--bundle-size`` take counts of at least 1.
+
+    With zero scenarios per signature the enumeration never runs, so a
+    vulnerable corpus used to come back clean with exit 0; a bad count is
+    now a usage error (exit 2) before any work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--scenarios", "0"],
+            ["pipeline", "--scenarios", "-1"],
+            ["pipeline", "--bundle-size", "0"],
+            ["demo", "--scenarios", "0"],
+            ["analyze", "app.json", "--scenarios", "0"],
+            ["simulate", "--scenarios", "0"],
+            ["serve", "--scenarios", "0"],
+            ["adversarial", "--scenarios", "0"],
+            ["bench", "--scenarios", "0"],
+            ["bench", "--bundle-size", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_nonpositive_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_non_integer_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", "--scenarios", "two"])
+        assert excinfo.value.code == 2
+        assert "invalid int value: 'two'" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_attack_denied_and_audited(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.jsonl"

@@ -193,6 +193,11 @@ class TestSynthesisEngine:
         assert "com.example.messenger" in result.vulnerable_apps("service_launch")
         assert result.vulnerable_apps("nonexistent") == []
 
+    def test_rejects_zero_scenarios(self):
+        # Zero would skip enumeration and report every bundle clean.
+        with pytest.raises(ValueError, match="at least 1"):
+            AnalysisAndSynthesisEngine(scenarios_per_signature=0)
+
 
 class TestRegistry:
     def test_builtins_registered(self):

@@ -8,6 +8,8 @@ synthesis stage."""
 
 import json
 
+import pytest
+
 from repro.benchsuite.running_example import build_app1, build_app2
 from repro.core import serialize
 from repro.core.separ import Separ
@@ -232,3 +234,10 @@ class TestCli:
         assert report.num_bundles > 0
         findings = json.loads(findings_path.read_text())
         assert len(findings["bundles"]) == report.num_bundles
+
+
+def test_pipeline_rejects_zero_scenarios():
+    """Checked at construction: the engine is only built inside synthesis
+    tasks, after extraction, where the error would fail every bundle."""
+    with pytest.raises(ValueError, match="at least 1"):
+        AnalysisPipeline(scenarios_per_signature=0)

@@ -19,6 +19,10 @@ The fast backend additionally gets trail-saving sequences (repeated
 assumption queries sharing prefixes, interleaved with clause additions)
 checked move-by-move against the oracle, and both backends are checked
 for the exact ``BudgetExhausted`` contract.
+
+Clauses with duplicate literals, tautologies and extra units (which
+``random_cnf`` never makes) go in through ``add_clauses``, the entry
+point the relational layer uses, and must agree with the oracle too.
 """
 
 import itertools
@@ -67,6 +71,24 @@ def check_model(clauses, model):
     )
 
 
+def messy_cnf(rng, num_vars, num_clauses):
+    """``random_cnf`` plus duplicate literals, tautologies and extra units
+    (``random_cnf`` itself never repeats a variable within a clause)."""
+    clauses = random_cnf(rng, num_vars, num_clauses)
+    for clause in clauses:
+        roll = rng.random()
+        if roll < 0.2:
+            clause.insert(rng.randrange(len(clause) + 1), rng.choice(clause))
+        elif roll < 0.3:
+            clause.insert(rng.randrange(len(clause) + 1), -rng.choice(clause))
+    for _ in range(rng.randint(0, 2)):
+        v = rng.randint(1, num_vars)
+        clauses.insert(
+            rng.randrange(len(clauses) + 1), [v if rng.random() < 0.5 else -v]
+        )
+    return clauses
+
+
 def _instances():
     rng = random.Random(FUZZ_SEED)
     for index in range(ROUNDS):
@@ -95,6 +117,23 @@ class TestRandomCnf:
         if not ok:
             # add_clause already proved top-level UNSAT; the oracle must
             # agree, and solve() must report it too.
+            assert not expected, (FUZZ_SEED, index)
+            assert not solver.solve().satisfiable
+            return
+        result = solver.solve()
+        assert result.satisfiable == expected, (FUZZ_SEED, index)
+        if result.satisfiable:
+            assert check_model(clauses, result.model), (FUZZ_SEED, index)
+
+    def test_redundant_literals_agree_with_brute_force(
+        self, index, seed, num_vars, num_clauses, backend
+    ):
+        rng = random.Random(seed)
+        clauses = messy_cnf(rng, num_vars, num_clauses)
+        solver = SOLVERS[backend]()
+        ok = solver.add_clauses(clauses)
+        expected = brute_force(clauses, num_vars)
+        if not ok:
             assert not expected, (FUZZ_SEED, index)
             assert not solver.solve().satisfiable
             return
@@ -231,6 +270,11 @@ class TestTrailSavingSequences:
                         range(1, num_vars + 1), rng.randint(1, 3)
                     )
                 ]
+                if rng.random() < 0.5:
+                    # Lead with the negated assumptions: false under the
+                    # saved prefix, so the clause must not be watched in
+                    # the order it was given.
+                    extra = [-lit for lit in assumptions] + extra
                 if not solver.add_clause(extra):
                     return  # proved UNSAT outright; nothing left to ask
                 clauses.append(extra)

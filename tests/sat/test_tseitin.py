@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sat import CNF, Solver
 from repro.sat import tseitin as ts
+from tests.relational.test_encoding_identity import (
+    reference_and,
+    reference_or,
+)
 
 
 class TestFolding:
@@ -119,3 +123,66 @@ def test_shared_subterms_single_aux(c1, c2):
     first_aux = cnf.num_vars
     enc.assert_node(combined)
     assert cnf.num_vars == first_aux or cnf.num_vars == before
+
+
+@st.composite
+def operand_lists(draw):
+    """Factory operands mixing constants, duplicates (shared and equal
+    copies), complements and nested same-kind nodes."""
+    ops = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        move = draw(
+            st.sampled_from(
+                [
+                    "circuit",
+                    "true",
+                    "false",
+                    "duplicate",
+                    "copy",
+                    "complement",
+                    "nested_and",
+                    "nested_or",
+                ]
+            )
+        )
+        if move == "true":
+            ops.append(ts.TRUE)
+        elif move == "false":
+            ops.append(ts.FALSE)
+        elif move == "circuit" or not ops:
+            ops.append(draw(circuits(max_var=MAX_VAR, depth=2)))
+        else:
+            earlier = draw(st.sampled_from(ops))
+            if move == "duplicate":
+                ops.append(earlier)
+            elif move == "copy":
+                constant = earlier is ts.TRUE or earlier is ts.FALSE
+                ops.append(
+                    earlier
+                    if constant
+                    else ts.Node(earlier.kind, earlier.children)
+                )
+            elif move == "complement":
+                ops.append(ts.not_(earlier))
+            else:
+                factory = ts.and_ if move == "nested_and" else ts.or_
+                other = draw(circuits(max_var=MAX_VAR, depth=2))
+                ops.append(factory(earlier, other))
+    return ops
+
+
+@given(operand_lists())
+@settings(max_examples=300, deadline=None)
+def test_factories_match_reference(ops):
+    """``and_``/``or_`` fold exactly as the ``_flatten``-based reference:
+    an equal node (so Tseitin numbering is unchanged), and the very
+    constant object when the result folds to one."""
+    for factory, reference in (
+        (ts.and_, reference_and),
+        (ts.or_, reference_or),
+    ):
+        got = factory(*ops)
+        want = reference(*ops)
+        assert got == want
+        if want is ts.TRUE or want is ts.FALSE:
+            assert got is want
