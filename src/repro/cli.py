@@ -57,10 +57,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import pathlib
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro import __version__
 from repro.core import serialize
@@ -68,14 +69,41 @@ from repro.core.model import BundleModel
 from repro.core.separ import Separ
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for counts that must be at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for durations that must be a finite number above 0."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {value}"
+        )
     return value
 
 
@@ -926,14 +954,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--task-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         help="per-task timeout in seconds on the process-pool path "
         "(default: none)",
     )
     pipeline.add_argument(
         "--task-retries",
-        type=int,
+        type=_non_negative_int,
         default=2,
         help="retries per task after its first attempt "
         "(default: %(default)s)",

@@ -44,6 +44,7 @@ into workers, so forked and spawned pools trace and count alike.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
 import time
 from collections import deque
@@ -125,6 +126,18 @@ class FaultPolicy:
     max_retries: int = 2
     backoff_seconds: float = 0.05
     backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        # A timeout of 0 or less would time out every pooled task.
+        timeout = self.task_timeout
+        if timeout is not None and not (0 < timeout < math.inf):
+            raise ValueError(
+                f"task_timeout must be a finite number above 0, got {timeout}"
+            )
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be at least 0, got {self.max_retries}"
+            )
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (1-based)."""
@@ -261,6 +274,24 @@ def _run_task(
     finally:
         set_metrics(previous)
     return payload, registry.snapshot()
+
+
+#: The ``(fn, items)`` of the pool round a forked worker was started
+#: for; set by :func:`_adopt_round` in pool workers only, never in the
+#: orchestrator.
+_ROUND: Optional[Tuple[Callable[[Any], Any], Sequence[Any]]] = None
+
+
+def _adopt_round(fn: Callable[[Any], Any], items: Sequence[Any]) -> None:
+    """Pool initializer: under fork its arguments are inherited, not
+    pickled, so every item of the round reaches the worker for free."""
+    global _ROUND
+    _ROUND = (fn, items)
+
+
+def _run_adopted(idx: int) -> Any:
+    fn, items = _ROUND
+    return fn(items[idx])
 
 
 # ----------------------------------------------------------------------
@@ -582,15 +613,20 @@ class AnalysisPipeline:
         caller then runs the round in-process.  Keeps at most ``workers``
         tasks in flight so the per-task timeout measures *running* time,
         not queueing time.
+
+        Under fork the workers inherit the round's ``(fn, items)`` through
+        the pool initializer and each task is just its index; other start
+        methods pickle a worker's arguments, so there each task carries
+        its own item rather than every worker a copy of the round.
         """
         try:
-            mp_context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else None
-            )
+            mp_context = multiprocessing.get_context(self.start_method)
+            inherit = mp_context.get_start_method() == "fork"
             pool = ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp_context
+                max_workers=workers,
+                mp_context=mp_context,
+                initializer=_adopt_round if inherit else None,
+                initargs=(fn, items) if inherit else (),
             )
         except (OSError, NotImplementedError, PermissionError, ValueError):
             return None
@@ -609,7 +645,11 @@ class AnalysisPipeline:
                 while pending and len(inflight) < workers:
                     idx = pending.popleft()
                     try:
-                        future = pool.submit(fn, items[idx])
+                        future = (
+                            pool.submit(_run_adopted, idx)
+                            if inherit
+                            else pool.submit(fn, items[idx])
+                        )
                     except (OSError, RuntimeError):
                         # Pool infrastructure failure (already broken or
                         # shut down, or a worker or the pool's manager

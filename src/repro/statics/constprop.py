@@ -20,12 +20,20 @@ way the paper describes its on-demand alias analysis: a store to a field
 makes the stored values observable at every load of that field (per
 allocation site when the base object is resolved, per field name
 otherwise), iterated to fixpoint.
+
+The fixpoint runs in whole-app rounds over the methods in program order,
+at most ``max_rounds`` of them.  A round notes every summary slot it reads
+(a parameter's incoming values, a heap or static field, a callee's
+returns).  When no slot grew after the round read it, every read saw the
+slot's final value, so one more round would repeat each read and write and
+publish the same states; the run stops there instead of running that
+confirming round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.dex.instructions import (
     ConstString,
@@ -115,6 +123,12 @@ class ValueAnalysis:
         self._statics: Dict[str, Set[Value]] = {}
         self._param_in: Dict[Tuple[str, int], Set[Value]] = {}
         self._returns: Dict[str, Set[Value]] = {}
+        # The round under way: the summary slots it has read, as
+        # ``(summary tag, key)``, and whether one has grown since.
+        self._read_slots: Set[Tuple[str, object]] = set()
+        self._regrown = False
+        #: Method analyses run, one per method per round.
+        self.method_analyses = 0
         # Final result: register states *before* each instruction.
         self.states_before: Dict[Tuple[str, int], Dict[str, ValueSet]] = {}
         self._run()
@@ -134,10 +148,27 @@ class ValueAnalysis:
         )
 
     # ------------------------------------------------------------------
+    def _read(self, tag: str, summary: Dict, key: object) -> AbstractSet[Value]:
+        """``summary[key]`` (empty when absent), noted as read this round."""
+        self._read_slots.add((tag, key))
+        return summary.get(key, EMPTY)
+
+    def _grow(
+        self, tag: str, summary: Dict, key: object, values: Set[Value]
+    ) -> None:
+        """Union ``values`` into ``summary[key]``; growing a slot this round
+        has already read calls for another round."""
+        slot = summary.setdefault(key, set())
+        if not values <= slot:
+            slot |= values
+            if (tag, key) in self._read_slots:
+                self._regrown = True
+
     def _entry_state(self, method: DexMethod) -> Dict[str, ValueSet]:
         state: Dict[str, ValueSet] = {}
+        name = method.qualified_name
         for pi, param in enumerate(method.params):
-            incoming: Set[Value] = set(self._param_in.get((method.qualified_name, pi), ()))
+            incoming = set(self._read("param", self._param_in, (name, pi)))
             if pi == 0 and method.receives_intent:
                 incoming.add(IntentParamVal(method.class_name))
             if not incoming:
@@ -148,21 +179,23 @@ class ValueAnalysis:
     def _run(self) -> None:
         methods = list(self.program.all_methods())
         for _ in range(self.max_rounds):
-            changed = False
+            self._read_slots.clear()
+            self._regrown = False
             for method in methods:
-                changed |= self._analyze_method(method)
-            if not changed:
+                self._analyze_method(method)
+            if not self._regrown:
                 break
 
-    def _analyze_method(self, method: DexMethod) -> bool:
-        cfg = self.callgraph.cfgs[method.qualified_name]
+    def _analyze_method(self, method: DexMethod) -> None:
+        name = method.qualified_name
+        self.method_analyses += 1
+        cfg = self.callgraph.cfgs[name]
         if not cfg.blocks:
-            return False
+            return
         entry = self._entry_state(method)
         block_in: Dict[int, Dict[str, ValueSet]] = {0: entry}
         worklist = [0]
         visited_out: Dict[int, Dict[str, ValueSet]] = {}
-        changed_global = False
         states_local: Dict[int, Dict[str, ValueSet]] = {}
         reachable = cfg.reachable_blocks()
 
@@ -174,9 +207,7 @@ class ValueAnalysis:
             block = cfg.blocks[bi]
             for ii in block.instruction_indices:
                 states_local[ii] = dict(state)
-                changed_global |= self._transfer(
-                    method, ii, method.instructions[ii], state
-                )
+                self._transfer(method, ii, method.instructions[ii], state)
             out = state
             prev_out = visited_out.get(bi)
             if prev_out == out:
@@ -189,14 +220,9 @@ class ValueAnalysis:
                     if succ not in worklist:
                         worklist.append(succ)
 
-        # Publish instruction-entry states; report change for the fixpoint.
+        states_before = self.states_before
         for ii, regs in states_local.items():
-            key = (method.qualified_name, ii)
-            frozen = {r: vs for r, vs in regs.items()}
-            if self.states_before.get(key) != frozen:
-                self.states_before[key] = frozen
-                changed_global = True
-        return changed_global
+            states_before[(name, ii)] = regs
 
     @staticmethod
     def _merge(
@@ -216,10 +242,9 @@ class ValueAnalysis:
         index: int,
         instr: Instr,
         state: Dict[str, ValueSet],
-    ) -> bool:
-        """Apply one instruction; returns True when a *global* summary
-        (heap, parameter, return) changed."""
-        changed = False
+    ) -> None:
+        """Apply one instruction to ``state``, reading and growing the
+        global summaries (heap, statics, parameters, returns)."""
         if isinstance(instr, ConstString):
             state[instr.dest] = frozenset({StrVal(instr.value)})
         elif isinstance(instr, Move):
@@ -234,10 +259,10 @@ class ValueAnalysis:
             resolved = [v for v in base if isinstance(v, ObjVal)]
             if resolved:
                 for obj in resolved:
-                    values |= self._heap_by_site.get(
-                        (obj.site, instr.field_name), set()
+                    values |= self._read(
+                        "site", self._heap_by_site, (obj.site, instr.field_name)
                     )
-            values |= self._heap_by_field.get(instr.field_name, set())
+            values |= self._read("field", self._heap_by_field, instr.field_name)
             state[instr.dest] = frozenset(values) if values else frozenset({UNKNOWN})
         elif isinstance(instr, IPut):
             stored = set(state.get(instr.src, frozenset({UNKNOWN})))
@@ -245,63 +270,46 @@ class ValueAnalysis:
             resolved = [v for v in base if isinstance(v, ObjVal)]
             if resolved:
                 for obj in resolved:
-                    slot = self._heap_by_site.setdefault(
-                        (obj.site, instr.field_name), set()
+                    self._grow(
+                        "site", self._heap_by_site, (obj.site, instr.field_name), stored
                     )
-                    if not stored <= slot:
-                        slot |= stored
-                        changed = True
             else:
-                slot = self._heap_by_field.setdefault(instr.field_name, set())
-                if not stored <= slot:
-                    slot |= stored
-                    changed = True
+                self._grow("field", self._heap_by_field, instr.field_name, stored)
         elif isinstance(instr, SGet):
-            values = self._statics.get(instr.class_field, set())
+            values = self._read("static", self._statics, instr.class_field)
             state[instr.dest] = frozenset(values) if values else frozenset({UNKNOWN})
         elif isinstance(instr, SPut):
             stored = set(state.get(instr.src, frozenset({UNKNOWN})))
-            slot = self._statics.setdefault(instr.class_field, set())
-            if not stored <= slot:
-                slot |= stored
-                changed = True
+            self._grow("static", self._statics, instr.class_field, stored)
         elif isinstance(instr, Invoke):
-            changed |= self._transfer_invoke(method, instr, state)
+            self._transfer_invoke(method, instr, state)
         elif isinstance(instr, Return):
             if instr.src is not None:
                 returned = set(state.get(instr.src, frozenset({UNKNOWN})))
-                slot = self._returns.setdefault(method.qualified_name, set())
-                if not returned <= slot:
-                    slot |= returned
-                    changed = True
-        return changed
+                self._grow("return", self._returns, method.qualified_name, returned)
 
     def _transfer_invoke(
         self, method: DexMethod, instr: Invoke, state: Dict[str, ValueSet]
-    ) -> bool:
-        changed = False
+    ) -> None:
         callee = self._resolve_internal(method, instr)
         if callee is not None:
             # Flow arguments into the callee's parameter summaries.
+            name = callee.qualified_name
             for ai, arg in enumerate(instr.args):
                 passed = set(state.get(arg, frozenset({UNKNOWN})))
-                slot = self._param_in.setdefault((callee.qualified_name, ai), set())
-                if not passed <= slot:
-                    slot |= passed
-                    changed = True
+                self._grow("param", self._param_in, (name, ai), passed)
             if instr.dest is not None:
-                returned = self._returns.get(callee.qualified_name, set())
+                returned = self._read("return", self._returns, name)
                 state[instr.dest] = (
                     frozenset(returned) if returned else frozenset({UNKNOWN})
                 )
-            return changed
+            return
         # Platform API.
         if instr.dest is not None:
             if instr.signature in _GET_INTENT_APIS:
                 state[instr.dest] = frozenset({IntentParamVal(method.class_name)})
             else:
                 state[instr.dest] = frozenset({UNKNOWN})
-        return changed
 
     def _resolve_internal(
         self, method: DexMethod, instr: Invoke

@@ -74,6 +74,9 @@ class ModelExtractor:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("ame.apps_extracted").inc()
+            metrics.counter("ame.constprop_method_analyses").inc(
+                values.method_analyses
+            )
             metrics.histogram("ame.cfg_count").observe(len(callgraph.cfgs))
             metrics.histogram("ame.callgraph_edges").observe(
                 sum(len(sites) for sites in callgraph.edges.values())

@@ -121,6 +121,39 @@ class TestCountFlags:
         assert "invalid int value: 'two'" in capsys.readouterr().err
 
 
+class TestFaultFlags:
+    """``--task-timeout`` takes a finite number of seconds above 0 and
+    ``--task-retries`` a count of at least 0.
+
+    A timeout of 0 or less timed out every pooled task, killing one pool
+    per task, and the run still exited 0 with no findings; a negative
+    retry count was accepted.  Both are usage errors (exit 2) now."""
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_finite_and_above_zero(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pipeline", "--scale", "0.005", "--no-cache", "--jobs", "2",
+                  "--task-timeout", value])
+        assert excinfo.value.code == 2
+        assert "must be a finite number above 0" in capsys.readouterr().err
+
+    def test_retries_must_not_be_negative(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pipeline", "--scale", "0.005", "--no-cache",
+                  "--task-retries", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
+    def test_non_numeric_values_are_usage_errors(self, capsys):
+        for argv in (["--task-timeout", "soon"], ["--task-retries", "1.5"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["pipeline", *argv])
+            assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid float value: 'soon'" in err
+        assert "invalid int value: '1.5'" in err
+
+
 class TestSimulate:
     def test_attack_denied_and_audited(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.jsonl"

@@ -158,6 +158,23 @@ class TestFaultPolicy:
         assert policy.delay(2) == pytest.approx(0.3)
         assert policy.delay(3) == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_finite_and_above_zero(self, timeout):
+        # A timeout of 0 or less would time out every pooled task.
+        with pytest.raises(
+            ValueError, match="task_timeout must be a finite number above 0"
+        ):
+            FaultPolicy(task_timeout=timeout)
+
+    def test_retries_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            FaultPolicy(max_retries=-1)
+
+    def test_no_timeout_and_no_retries_are_valid(self):
+        policy = FaultPolicy(task_timeout=None, max_retries=0)
+        assert policy.task_timeout is None and policy.max_retries == 0
+        assert FaultPolicy(task_timeout=0.001).task_timeout == 0.001
+
 
 class TestTaskFailure:
     def test_round_trip(self):

@@ -33,6 +33,8 @@ from repro.pipeline import (
     RunReport,
     attach_observability,
 )
+from repro.statics.callgraph import CallGraph
+from repro.statics.constprop import ValueAnalysis
 
 
 def check_trace_integrity(path, expect_roots=1):
@@ -172,6 +174,14 @@ class TestTracedPipelineRun:
         report = result.run_report
         assert report.spans["pipeline.synthesize"]["count"] == len(per_sig)
         assert report.metrics["ame.apps_extracted"]["value"] == 2
+        analyses = sum(
+            ValueAnalysis(CallGraph(apk)).method_analyses for apk in apks
+        )
+        assert analyses > 0
+        assert (
+            report.metrics["ame.constprop_method_analyses"]["value"]
+            == analyses
+        )
         assert registry.counter("ase.signature_runs").value == len(per_sig)
 
     def test_observability_does_not_change_findings(self, observed):
