@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.sat import Solver
+from repro.sat import FastSolver
+from repro.sat.fastsolver import _UNDEF
 from repro.statics import extract_bundle
 from repro.workloads import CorpusConfig, CorpusGenerator
 
@@ -46,7 +47,7 @@ def test_benchmark_random_3sat_under_transition(benchmark):
     clauses = random_3sat(120, 3.8, seed=7)
 
     def run():
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clauses(clauses)
         return solver.solve()
 
@@ -59,7 +60,7 @@ def test_benchmark_random_3sat_at_transition(benchmark):
     clauses = random_3sat(80, 4.26, seed=11)
 
     def run():
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clauses(clauses)
         return solver.solve()
 
@@ -71,7 +72,7 @@ def test_benchmark_pigeonhole_unsat(benchmark):
     clauses = pigeonhole(6)
 
     def run():
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clauses(clauses)
         return solver.solve()
 
@@ -86,7 +87,7 @@ class TestDecisionLoop:
         the decision loop speedup is well over an order of magnitude."""
         import time
 
-        solver = Solver()
+        solver = FastSolver()
         num_vars = 20_000
         solver.add_clauses([[v, v + 1] for v in range(1, num_vars, 2)])
         rng = random.Random(5)
@@ -96,7 +97,10 @@ class TestDecisionLoop:
         def linear_pick():
             best, best_act = None, -1.0
             for var in range(1, solver._num_vars + 1):
-                if solver._assigns[var] is None and solver._activity[var] > best_act:
+                if (
+                    solver._value[var << 1] == _UNDEF
+                    and solver._activity[var] > best_act
+                ):
                     best, best_act = var, solver._activity[var]
             return best
 

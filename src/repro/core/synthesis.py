@@ -25,7 +25,7 @@ from repro.obs import get_metrics, get_tracer
 from repro.relational import ast as rast
 from repro.relational.problem import RelationalProblem
 from repro.relational.sigs import Module, Sig
-from repro.sat.solver import BudgetExhausted
+from repro.sat import BudgetExhausted
 
 
 @dataclass

@@ -13,9 +13,8 @@ an :class:`~repro.enforcement.audit.AuditLog` (:mod:`repro.enforcement.audit`)
 that can be queried and serialized to JSONL after a run, with optional
 rotation and sampling for sustained traffic.
 
-Two interchangeable PDP backends implement the decision contract
-(mirroring the ``repro.sat`` solver-backend registry; full architecture
-notes in ``docs/ENFORCEMENT.md``):
+Two interchangeable PDP backends implement the decision contract (full
+architecture notes in ``docs/ENFORCEMENT.md``):
 
 - ``linear`` (:class:`~repro.enforcement.pdp.PolicyDecisionPoint`) -- the
   readable first-match-wins scan, kept as the differential-testing oracle.

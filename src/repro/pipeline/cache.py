@@ -266,7 +266,6 @@ FINGERPRINT_MODULES = (
     "repro.sat",
     "repro.sat.cnf",
     "repro.sat.fastsolver",
-    "repro.sat.solver",
     "repro.sat.tseitin",
     "repro.statics",
     "repro.statics.callgraph",

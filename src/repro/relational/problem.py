@@ -34,8 +34,7 @@ from repro.relational import ast as rast
 from repro.relational.instance import Instance, instance_from_model
 from repro.relational.translate import TranslationRecord, Translator
 from repro.relational.universe import AtomTuple, Bounds, Relation
-from repro.sat.fastsolver import FastSolver
-from repro.sat.solver import BudgetExhausted
+from repro.sat.fastsolver import BudgetExhausted, FastSolver
 
 
 @dataclass
@@ -64,7 +63,7 @@ class RelationalProblem:
     ``conflict_budget`` (settable after construction) caps the *total*
     CDCL conflicts spent across every solver call made through this
     problem; once the accumulated ``stats.conflicts`` reach it, further
-    solves raise :class:`~repro.sat.solver.BudgetExhausted`.  The partial
+    solves raise :class:`~repro.sat.fastsolver.BudgetExhausted`.  The partial
     work of the interrupted call is still folded into ``stats``, so
     callers can degrade to the scenarios found so far without losing
     accounting.  Multi-query callers re-arm the budget between queries by
@@ -90,9 +89,9 @@ class RelationalProblem:
         )
         self.stats.translation_seconds = time.perf_counter() - start
         self.stats.num_primary_vars = len(self._record.primary_vars)
-        # Tests swap this one name for the reference ``Solver`` to check
-        # that relational results do not depend on the solver (canonical
-        # minimization makes minimal scenarios trajectory-independent).
+        # The one place a solver is built, by this module-level name: the
+        # tests swap in a FastSolver subclass that proof-checks every
+        # learned clause, UNSAT answer and model through it.
         self._solver = FastSolver()
         self._fed_clauses = 0
         self._trivially_unsat = self._record.trivially_unsat

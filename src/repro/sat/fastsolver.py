@@ -1,9 +1,8 @@
-"""Flat-arena CDCL backend: the wall-clock engine behind shared encoding.
+"""Flat-arena CDCL SAT solver: the one engine every synthesis runs on.
 
-Same search as :class:`repro.sat.solver.Solver` (two-watched-literal
-propagation, VSIDS order heap, first-UIP analysis with recursive clause
-minimization, phase saving, Luby restarts) but on a MiniSat-style flat
-memory layout instead of an object graph:
+MiniSat-style search (two-watched-literal propagation, VSIDS order heap,
+first-UIP analysis with recursive clause minimization, phase saving,
+Luby restarts) on a flat memory layout:
 
 - **Clause arena**: one ``array('i')`` holds every clause as
   ``[size, flags, lbd, lit0, lit1, ...]``; clauses are addressed by
@@ -44,13 +43,14 @@ memory layout instead of an object graph:
   going through it.  The variable tables grow only when a literal
   exceeds ``num_vars``, not through a call per literal.
 
-The semantics are identical to the reference solver: same
-``SolveResult``/:class:`~repro.sat.solver.Model` contract, same
-assumption-failure behaviour, and the same *exact*
-:class:`~repro.sat.solver.BudgetExhausted` raise at ``>= budget``
-conflicts.  The reference solver remains the differential-fuzzing
-oracle; :class:`~repro.relational.problem.RelationalProblem` builds this
-one.
+No second solver checks this one.  The test suite checks its answers
+instead: a ``FastSolver`` subclass under ``tests/`` records every
+clause, checks each learned clause by reverse unit propagation (RUP)
+against the clauses recorded before it, checks each UNSAT answer by
+unit-propagating its assumptions to a conflict, and checks each model
+against every recorded clause.  The solver logs nothing for that check,
+so it stays free to change its restart, phase and clause-deletion
+heuristics.
 """
 
 from __future__ import annotations
@@ -58,15 +58,10 @@ from __future__ import annotations
 import os
 import time
 from array import array
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import ProgressSnapshot, get_metrics, get_tracer
-from repro.sat.solver import (
-    BudgetExhausted,
-    Model,
-    SolveResult,
-    _luby,
-)
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
@@ -82,17 +77,120 @@ _DEAD = 2
 _HDR = 3
 
 
+def _luby(i: int) -> int:
+    """The reluctant-doubling (Luby) sequence, 1-indexed: 1,1,2,1,1,2,4,..."""
+    while True:
+        k = 1
+        while (1 << k) - 1 < i:
+            k += 1
+        if (1 << k) - 1 == i:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
+
+
+class Model:
+    """A satisfying assignment, stored assigned-variables-only.
+
+    Reads preserve the historical contract that every variable maps to a
+    boolean, defaulting unassigned variables to ``False`` -- so instance
+    decoding and lex-greedy minimization see byte-identical values --
+    without materializing an O(num_vars) dict per model.  Iteration and
+    ``len`` cover only the variables the solver actually assigned;
+    ``dict(model)`` therefore yields the compact assigned-only mapping
+    (``.get`` on that dict keeps the same default-False reads).
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Dict[int, bool]) -> None:
+        self._values = values
+
+    def __getitem__(self, var: int) -> bool:
+        return self._values.get(var, False)
+
+    def get(self, var: int, default: bool = False) -> bool:
+        return self._values.get(var, default)
+
+    def __contains__(self, var: int) -> bool:
+        return var in self._values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def keys(self):
+        return self._values.keys()
+
+    def items(self):
+        return self._values.items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Model):
+            return self._values == other._values
+        if isinstance(other, dict):
+            return self._values == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Model({self._values!r})"
+
+
+@dataclass
+class SolveResult:
+    """Outcome of a :meth:`FastSolver.solve` call.
+
+    ``model`` is a :class:`Model` (assigned variables only, reads
+    default unassigned variables to ``False``) when satisfiable and is
+    ``None`` otherwise.  ``conflicts``, ``decisions``, ``propagations``
+    and ``restarts`` expose search-effort statistics for the benchmark
+    harness.
+
+    Truthiness is defined as *satisfiability*: ``bool(result)`` is True
+    exactly when ``result.satisfiable`` is -- an UNSAT outcome is falsy
+    even though it is a real result object carrying search statistics.
+    Use an explicit ``is None`` check to distinguish "no result" from
+    "UNSAT result".
+    """
+
+    satisfiable: bool
+    model: Optional[Model] = None
+    conflicts: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    restarts: int = 0
+
+    def __bool__(self) -> bool:
+        """True iff the formula was satisfiable (see class docstring)."""
+        return self.satisfiable
+
+
+class BudgetExhausted(RuntimeError):
+    """Raised when a conflict budget passed to :meth:`FastSolver.solve` runs out.
+
+    Carries the interrupted call's CDCL counters so callers can fold the
+    partial work into their statistics (the call never reaches the
+    :class:`SolveResult` that would normally deliver them).
+    """
+
+    def __init__(
+        self, conflicts: int, decisions: int = 0, propagations: int = 0
+    ) -> None:
+        super().__init__(f"conflict budget exhausted after {conflicts} conflicts")
+        self.conflicts = conflicts
+        self.decisions = decisions
+        self.propagations = propagations
+
+
 class FastSolver:
     """Incremental CDCL over a flat clause arena (see module docstring).
 
-    Drop-in for :class:`repro.sat.solver.Solver`: same constructor and
-    method surface (``ensure_var`` / ``add_clause`` / ``add_clauses`` /
-    ``solve`` / ``reset_phases`` and the introspection properties), so
-    :class:`repro.relational.problem.RelationalProblem` selects between
-    them by name without branching anywhere else.
+    Literals are DIMACS-style non-zero integers.  Clauses may be added
+    between ``solve()`` calls, and ``solve(assumptions=...)`` answers
+    under temporary assumptions, which the relational layer uses for
+    enumeration and for Aluminum-style scenario minimization.
     """
-
-    backend_name = "fast"
 
     def __init__(self) -> None:
         self._num_vars = 0
@@ -161,12 +259,12 @@ class FastSolver:
     def add_clause(self, literals) -> bool:
         """Add a clause; returns False if the formula is now root-UNSAT.
 
-        Unlike the reference solver this may be called while a saved
-        assumption prefix is on the trail: the clause is simplified
-        against *root-level* assignments only, then attached against the
-        live trail, backtracking just far enough when it is unit or
-        conflicting under the saved prefix (so trail saving survives the
-        blocking/pin clauses the relational layer adds between queries).
+        This may be called while a saved assumption prefix is on the
+        trail: the clause is simplified against *root-level* assignments
+        only, then attached against the live trail, backtracking just far
+        enough when it is unit or conflicting under the saved prefix (so
+        trail saving survives the blocking/pin clauses the relational
+        layer adds between queries).
         """
         if not self._ok:
             return False
@@ -643,10 +741,9 @@ class FastSolver:
     ) -> SolveResult:
         """Solve the formula, optionally under assumptions.
 
-        Semantics match :meth:`repro.sat.solver.Solver.solve` exactly
-        (assumption failure returns UNSAT without spoiling the solver;
-        :class:`BudgetExhausted` raises at ``>= conflict_budget``
-        conflicts).  Additionally, the seated-assumption prefix shared
+        An assumption failure returns UNSAT without spoiling the solver,
+        and :class:`BudgetExhausted` raises at exactly ``>=
+        conflict_budget`` conflicts.  The seated-assumption prefix shared
         with the previous call is *reused*: its propagated trail segment
         is kept instead of being re-derived, which is what makes many
         gated queries against one large shared clause DB cheap.
@@ -801,7 +898,6 @@ class FastSolver:
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("sat.solver_calls").inc()
-            metrics.counter(f"sat.calls.{self.backend_name}").inc()
             metrics.counter("sat.conflicts").inc(self._conflicts)
             metrics.counter("sat.decisions").inc(self._decisions)
             metrics.counter("sat.propagations").inc(self._propagations)

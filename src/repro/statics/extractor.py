@@ -57,6 +57,7 @@ class ModelExtractor:
         start = time.perf_counter()
         with tracer.span("ame.callgraph"):
             callgraph = CallGraph(apk)
+        with tracer.span("ame.constprop"):
             values = ValueAnalysis(callgraph)
 
         all_roots = not self.reachability_pruning

@@ -1,27 +1,26 @@
 """Fixtures shared across the test packages."""
 
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from repro.relational import problem
-from repro.sat import FastSolver, Solver
-
-#: The two CDCL solvers by name: the one synthesis runs on and the
-#: reference oracle the differential suites compare it against.
-SOLVERS = {"fast": FastSolver, "reference": Solver}
+from tests.rup import CheckedSolver
 
 
 @pytest.fixture
-def use_solver(monkeypatch):
+def checked_solver(monkeypatch):
     """Make every :class:`RelationalProblem` built from now on in this
-    process (and in pool workers forked from it) run on the named solver.
+    process run on :class:`tests.rup.CheckedSolver`, which proof-checks
+    every learned clause, UNSAT answer and model and raises
+    ``ProofError`` on a claim its clauses do not back.
 
-    ``RelationalProblem`` constructs ``FastSolver`` by that one module
-    name, so swapping it is the whole seam; the swap is undone when the
-    test ends.  Returns the solver class.
+    ``RelationalProblem`` constructs its solver through the one module
+    name ``FastSolver``, so swapping it is the whole seam; the swap is
+    undone when the test ends.  Returns the counts of checks those
+    solvers made, by kind (``lemmas``, ``unsat``, ``models``).
     """
-
-    def use(name):
-        monkeypatch.setattr(problem, "FastSolver", SOLVERS[name])
-        return SOLVERS[name]
-
-    return use
+    checks = Counter()
+    monkeypatch.setattr(problem, "FastSolver", partial(CheckedSolver, checks))
+    return checks

@@ -1,4 +1,4 @@
-"""Differential testing: synthesis modes and solvers.
+"""Differential testing of the synthesis modes, on a proof-checked solver.
 
 The shared encoding (one translation per bundle, every signature
 enumerated under selector assumptions on one warm solver) is an
@@ -8,13 +8,14 @@ and the same reports -- including under a conflict budget, where both
 modes degrade by truncating each signature's canonical enumeration
 rather than by diverging.
 
-The same contract holds across *solvers*: synthesis runs on the
-flat-arena ``FastSolver``, and the reference solver, swapped in through
-the ``use_solver`` seam, must produce byte-identical payloads in both
-modes (that identity is what justifies leaving the solver out of
-pipeline cache keys).  So the mode tests here run on both solvers, and
-``TestBackendsAgree`` pins the full solver-by-mode matrix to a single
-payload.
+Every test here runs on :class:`tests.rup.CheckedSolver`, swapped in
+through the ``checked_solver`` seam: each learned clause is RUP-checked
+when it is learned, each UNSAT answer -- the "no further scenario" claim
+that ends an enumeration -- is refuted by unit propagation from its
+assumptions, and each model is checked against every clause, in both
+modes and in budgeted runs.  ``TestCheckerIsPassive`` reruns one bundle
+on the plain ``FastSolver`` and pins the same search, conflict for
+conflict, so the checks vouch for the solver synthesis ships with.
 
 Bundles are drawn from the injected-vulnerability corpus generator under
 a fixed seed, so CI replays the exact same instances every run.
@@ -32,13 +33,16 @@ from repro.core.attack_generation import (
 )
 from repro.core.serialize import scenario_to_dict
 from repro.core.synthesis import AnalysisAndSynthesisEngine
+from repro.relational import problem
+from repro.sat import FastSolver
 from repro.statics import extract_bundle
 from repro.workloads.corpus import CorpusConfig, CorpusGenerator
+from tests.rup import CheckedSolver
 
 
 SEED = 20160807
 
-BACKENDS = ["fast", "reference"]
+pytestmark = pytest.mark.usefixtures("checked_solver")
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +96,11 @@ def _random_bundles(apks, flagged, count, size):
     return bundles
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestModesAgree:
     def test_identical_scenarios_and_vulnerability_sets(
-        self, corpus, backend, use_solver
+        self, corpus, checked_solver
     ):
         apks, flagged = corpus
-        use_solver(backend)
         for bundle in _random_bundles(apks, flagged, count=3, size=3):
             per_sig = _run(bundle, shared=False)
             shared = _run(bundle, shared=True)
@@ -115,72 +117,64 @@ class TestModesAgree:
             assert shared.stats.translations_avoided == (
                 per_sig.stats.translations - 1
             )
+        assert checked_solver["unsat"] > 0
+        assert checked_solver["models"] > 0
 
-    def test_vulnerable_bundle_finds_scenarios_in_both_modes(
-        self, corpus, backend, use_solver
-    ):
+    def test_vulnerable_bundle_finds_scenarios_in_both_modes(self, corpus):
         apks, flagged = corpus
         vulnerable = [a for a in apks if a.package in flagged]
         if not vulnerable:
             pytest.skip("corpus slice contains no injected apps")
         bundle = extract_bundle(vulnerable[:3])
-        solver = use_solver(backend)
         per_sig = _run(bundle, shared=False)
         engine = AnalysisAndSynthesisEngine(scenarios_per_signature=4)
         shared = engine.run(bundle)
         assert per_sig.scenarios, "injected bundle should yield scenarios"
         assert _payload(per_sig) == _payload(shared)
-        # The seam really put the named solver under the synthesis.
-        assert type(engine.last_problem._solver) is solver
+        # The seam really put the checking solver under the synthesis.
+        assert type(engine.last_problem._solver) is CheckedSolver
 
-    def test_empty_bundle_agrees(self, backend, use_solver):
-        use_solver(backend)
+    def test_empty_bundle_agrees(self):
         bundle = extract_bundle([])
         per_sig = _run(bundle, shared=False)
         shared = _run(bundle, shared=True)
         assert _payload(per_sig) == _payload(shared)
 
 
-class TestBackendsAgree:
-    """The solver-by-mode matrix must collapse to one payload.
+def _search(result):
+    stats = result.stats
+    return (
+        stats.num_vars,
+        stats.num_clauses,
+        stats.conflicts,
+        stats.decisions,
+        stats.propagations,
+        stats.solver_calls,
+        stats.learned_carried,
+    )
 
-    This is the invariant that lets the pipeline cache omit the solver
-    from its keys: any (solver, mode) combination may serve a payload
-    cached by any other."""
 
-    def test_backend_mode_matrix_is_byte_identical(self, corpus, use_solver):
+class TestCheckerIsPassive:
+    def test_checked_runs_replay_the_plain_solvers_search(
+        self, corpus, checked_solver, monkeypatch
+    ):
+        """The checker only records and checks: a checked run makes the
+        very search of the plain ``FastSolver`` that synthesis ships
+        with, to the conflict, so what the checks vouched for is the
+        product's own search (payload identity alone would not show it:
+        the canonical minimizer makes payloads trajectory-independent)."""
         apks, flagged = corpus
-        vulnerable = [a for a in apks if a.package in flagged]
-        if not vulnerable:
-            pytest.skip("corpus slice contains no injected apps")
-        bundle = extract_bundle(vulnerable[:3])
-        payloads = {}
-        for backend in BACKENDS:
-            use_solver(backend)
-            for shared in (False, True):
-                payloads[backend, shared] = _payload(
-                    _run(bundle, shared=shared)
-                )
-        assert len(set(payloads.values())) == 1, sorted(payloads)
-
-    def test_budgeted_runs_agree_across_backends(self, corpus, use_solver):
-        """Degraded (budget-exhausted) runs must also match: the exact
-        ``BudgetExhausted`` contract makes both solvers truncate each
-        signature's enumeration at the same point."""
-        apks, flagged = corpus
-        vulnerable = [a for a in apks if a.package in flagged]
-        if not vulnerable:
-            pytest.skip("corpus slice contains no injected apps")
-        bundle = extract_bundle(vulnerable[:3])
-        for budget in (1, 25):
-            for shared in (False, True):
-                payloads = {}
-                for backend in BACKENDS:
-                    use_solver(backend)
-                    payloads[backend] = _payload(
-                        _run(bundle, shared=shared, conflict_budget=budget)
-                    )
-                assert len(set(payloads.values())) == 1, (budget, shared)
+        bundle = extract_bundle(
+            [a for a in apks if a.package in flagged][:3]
+        )
+        checked = [_run(bundle, shared) for shared in (False, True)]
+        assert checked_solver["unsat"] > 0
+        monkeypatch.setattr(problem, "FastSolver", FastSolver)
+        plain = [_run(bundle, shared) for shared in (False, True)]
+        assert checked[0].scenarios, "injected bundle should yield scenarios"
+        for mine, theirs in zip(checked, plain):
+            assert _payload(mine) == _payload(theirs)
+            assert _search(mine) == _search(theirs)
 
 
 class TestBudgetDegradation:
@@ -242,15 +236,13 @@ def scaled_bundles():
 
 
 class TestScaledSignaturesDifferential:
-    """The shared-encoding and solver identities must extend to the
-    scaled threat model: re-delegation chains, provider leaks, dynamic
-    receiver hijack and collusion all enumerate under gated selectors."""
+    """The shared-encoding identity must extend to the scaled threat
+    model: re-delegation chains, provider leaks, dynamic receiver hijack
+    and collusion all enumerate under gated selectors."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_modes_agree_and_all_scaled_signatures_fire(
-        self, scaled_bundles, backend, use_solver
+        self, scaled_bundles, checked_solver
     ):
-        use_solver(backend)
         for bundle in scaled_bundles:
             per_sig = _run(bundle, shared=False)
             shared = _run(bundle, shared=True)
@@ -260,19 +252,7 @@ class TestScaledSignaturesDifferential:
                 "every planted scaled signature must enumerate; "
                 f"missing {set(SCALED_SIGNATURES) - found}"
             )
-
-    def test_backend_mode_matrix_on_scaled_bundle(
-        self, scaled_bundles, use_solver
-    ):
-        bundle = scaled_bundles[0]
-        payloads = {}
-        for backend in BACKENDS:
-            use_solver(backend)
-            for shared in (False, True):
-                payloads[backend, shared] = _payload(
-                    _run(bundle, shared=shared)
-                )
-        assert len(set(payloads.values())) == 1, sorted(payloads)
+        assert checked_solver["unsat"] > 0
 
     def test_budget_prefix_semantics_on_scaled_bundle(self, scaled_bundles):
         bundle = scaled_bundles[0]

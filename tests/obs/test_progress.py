@@ -24,7 +24,7 @@ from repro.obs import (
     read_events,
     set_tracer,
 )
-from repro.sat.solver import BudgetExhausted, Solver
+from repro.sat import BudgetExhausted, FastSolver
 
 
 def _snap(i, pid=1):
@@ -90,7 +90,7 @@ class TestSnapshotRoundTrip:
 
 class TestSolverPublishes:
     def test_conflicty_solve_emits_snapshots(self, heartbeats):
-        solver = Solver()
+        solver = FastSolver()
         for clause in _pigeonhole(5):
             solver.add_clause(clause)
         result = solver.solve()
@@ -104,7 +104,7 @@ class TestSolverPublishes:
         assert last.budget_remaining is None
 
     def test_budget_remaining_counts_down(self, heartbeats):
-        solver = Solver()
+        solver = FastSolver()
         for clause in _pigeonhole(6):
             solver.add_clause(clause)
         with pytest.raises(BudgetExhausted):
@@ -113,7 +113,7 @@ class TestSolverPublishes:
         assert last.budget_remaining == 0  # closing snapshot at the miss
 
     def test_easy_solve_heartbeats_once(self, heartbeats):
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clause([1, 2])
         assert solver.solve().satisfiable
         assert len(heartbeats()) == 1  # no conflicts, one closing snapshot
@@ -122,7 +122,7 @@ class TestSolverPublishes:
         previous = set_tracer(NULL_TRACER)
         try:
             assert get_tracer().heartbeat_interval == 0
-            solver = Solver()
+            solver = FastSolver()
             for clause in _pigeonhole(4):
                 solver.add_clause(clause)
             assert not solver.solve().satisfiable  # must not raise
@@ -136,7 +136,7 @@ class TestHeartbeatTransport:
         tracer = JsonlTracer(str(path), heartbeat_interval=1)
         previous_tracer = set_tracer(tracer)
         try:
-            solver = Solver()
+            solver = FastSolver()
             for clause in _pigeonhole(5):
                 solver.add_clause(clause)
             solver.solve()
@@ -155,7 +155,7 @@ class TestHeartbeatTransport:
         previous_tracer = set_tracer(tracer)
         try:
             with tracer.span("solve") as span:
-                solver = Solver()
+                solver = FastSolver()
                 for clause in _pigeonhole(4):
                     solver.add_clause(clause)
                 solver.solve()

@@ -44,7 +44,7 @@ from repro.pipeline.faults import (
     maybe_inject,
     parse_fault_spec,
 )
-from repro.sat.solver import BudgetExhausted, Solver
+from repro.sat import BudgetExhausted, FastSolver
 from repro.statics import extract_bundle
 
 
@@ -692,7 +692,7 @@ class TestSolverBudgetMetrics:
         try:
             registry = obs_metrics.MetricsRegistry()
             obs_metrics.set_metrics(registry)
-            solver = Solver()
+            solver = FastSolver()
             solver.ensure_var(2)
             assert solver.add_clauses(
                 [[1, 2], [1, -2], [-1, 2], [-1, -2]]

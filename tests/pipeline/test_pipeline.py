@@ -126,25 +126,6 @@ class TestCaching:
         assert warm.run_report.cache.misses.get("synthesis", 0) == 0
         assert warm.run_report.cache.hits.get("synthesis", 0) > 0
 
-    def test_cache_hits_across_solver_backends(self, tmp_path, use_solver):
-        """Cache keys name no solver: the solvers are verified
-        byte-identical, so an entry written by a run on the reference
-        solver must be served -- unchanged -- to a run on FastSolver."""
-        apks = [build_app1(), build_app2()]
-        use_solver("reference")
-        cold = AnalysisPipeline(jobs=1, cache=PipelineCache(tmp_path)).run(
-            [apks]
-        )
-        use_solver("fast")
-        warm = AnalysisPipeline(jobs=1, cache=PipelineCache(tmp_path)).run(
-            [apks]
-        )
-        assert warm.run_report.cache.total_misses == 0
-        assert warm.run_report.cache.total_hits == (
-            cold.run_report.cache.total_misses
-        )
-        assert _findings_bytes(cold) == _findings_bytes(warm)
-
     def test_changed_app_misses(self, tmp_path):
         AnalysisPipeline(jobs=1, cache=PipelineCache(tmp_path)).run(
             [[build_app1(), build_app2()]]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.relational import Bounds, Relation, RelationalProblem, Universe
 from repro.relational import ast as rast
-from repro.sat.solver import BudgetExhausted
+from repro.sat import BudgetExhausted
 
 
 def make_free_unary(atoms, name="r"):

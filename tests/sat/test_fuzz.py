@@ -1,4 +1,5 @@
-"""Differential fuzzing of the two CDCL solvers against an oracle.
+"""Fuzzing ``FastSolver`` against a brute-force oracle, with every answer
+also proof-checked.
 
 Seeded random-CNF instances keep CI deterministic: the generator is
 parameterized by an explicit seed (override with ``REPRO_FUZZ_SEED`` to
@@ -6,23 +7,35 @@ explore), the instances stay small enough (<= 12 variables) that a full
 truth-table enumeration is the oracle, and every discrepancy message
 carries the seed/instance needed to replay it.
 
-Every instance runs against *both* solvers (the reference object-graph
-solver and the flat-arena ``FastSolver``), from three angles
-matching how the synthesis engine drives them:
+Every oracle-checked instance runs twice: on ``FastSolver`` exactly as
+synthesis constructs it (the ``fast`` cases), and on
+:class:`tests.rup.CheckedSolver` (the ``checked`` cases), where besides
+matching the oracle each learned clause is RUP-checked when it is
+learned, each UNSAT answer is refuted by unit propagation from its
+assumptions, and each model is checked against every clause.  The plain
+run keeps the class that ships under the oracle, so a defect that the
+subclass's wrappers happened to mask would still show.  The instances
+come from three angles matching how the synthesis engine drives the
+solver:
 
 - plain satisfiability + model soundness,
 - assumption queries (the shared-encoding mode's bread and butter),
 - solver *reusability*: an UNSAT-under-assumptions query must not spoil
   the solver for later queries, incremental clause addition included.
 
-The fast backend additionally gets trail-saving sequences (repeated
-assumption queries sharing prefixes, interleaved with clause additions)
-checked move-by-move against the oracle, and both backends are checked
-for the exact ``BudgetExhausted`` contract.
+Trail-saving sequences (repeated assumption queries sharing prefixes,
+interleaved with clause additions) are checked move-by-move against the
+oracle, and the exact ``BudgetExhausted`` contract is pinned.
 
 Clauses with duplicate literals, tautologies and extra units (which
 ``random_cnf`` never makes) go in through ``add_clauses``, the entry
 point the relational layer uses, and must agree with the oracle too.
+
+The tiny instances never run long enough to restart or to reduce the
+learned-clause database.  Random 3-CNF near the satisfiability threshold
+does, at a size the oracle cannot enumerate; there the checker alone
+vouches for each answer, cold and in a gated enumeration on one warm
+solver.
 """
 
 import itertools
@@ -31,20 +44,21 @@ import random
 
 import pytest
 
-from repro.sat import BudgetExhausted, FastSolver, Solver
+from repro.sat import BudgetExhausted, FastSolver
+from tests.rup import CheckedSolver
 
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20160807"))
 ROUNDS = int(os.environ.get("REPRO_FUZZ_ROUNDS", "60"))
 
-SOLVERS = {"reference": Solver, "fast": FastSolver}
+SOLVERS = {"checked": CheckedSolver, "fast": FastSolver}
 BACKENDS = sorted(SOLVERS)
 
 
-def random_cnf(rng, num_vars, num_clauses, max_width=3):
+def random_cnf(rng, num_vars, num_clauses, max_width=3, min_width=1):
     clauses = []
     for _ in range(num_clauses):
-        width = rng.randint(1, max_width)
+        width = rng.randint(min_width, max_width)
         lits = rng.sample(range(1, num_vars + 1), min(width, num_vars))
         clauses.append([v if rng.random() < 0.5 else -v for v in lits])
     return clauses
@@ -213,11 +227,12 @@ def _trail_saving_sequences():
         yield index, rng.randint(0, 2 ** 31)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "index,seed", list(_trail_saving_sequences()), ids=str
 )
 class TestTrailSavingSequences:
-    """The fast backend's saved assumption prefix vs the oracle.
+    """The saved assumption prefix vs the oracle.
 
     Each sequence drives one warm solver through assumption queries that
     deliberately share prefixes (the gated-enumeration pattern), with
@@ -225,11 +240,11 @@ class TestTrailSavingSequences:
     is checked against brute force, and, where satisfiable, the model
     against the clause set."""
 
-    def test_prefix_reuse_matches_oracle(self, index, seed):
+    def test_prefix_reuse_matches_oracle(self, index, seed, backend):
         rng = random.Random(seed)
         num_vars = rng.randint(4, 10)
         clauses = random_cnf(rng, num_vars, rng.randint(2, 3 * num_vars))
-        solver = FastSolver()
+        solver = SOLVERS[backend]()
         if not all(solver.add_clause(cl) for cl in clauses):
             pytest.skip("top-level UNSAT")
         prefix = [
@@ -280,12 +295,117 @@ class TestTrailSavingSequences:
                 clauses.append(extra)
 
 
+#: Variables in a near-threshold instance: far beyond the truth-table
+#: oracle, but enough conflicts to restart and reduce learned clauses.
+THRESHOLD_VARS = 100
+
+
+def threshold_cnf(rng, ratio):
+    """Random 3-CNF with ``ratio`` clauses per variable (about 4.26 is
+    the satisfiability threshold, where random instances are hardest)."""
+    return random_cnf(
+        rng, THRESHOLD_VARS, int(ratio * THRESHOLD_VARS), min_width=3
+    )
+
+
+def gated_enumeration(solver, rng, index=None):
+    """Enumerate models under selector assumptions on one warm solver,
+    blocking each under its gate, the way the shared encoding enumerates
+    signatures: gated clauses arrive while a trail is saved, and each
+    enumeration ends in an UNSAT answer, the "no further scenario"
+    claim.  Returns the projections found, per selector."""
+    solver.add_clauses(threshold_cnf(rng, 4.0))
+    selectors = [THRESHOLD_VARS + 1, THRESHOLD_VARS + 2]
+    found = {}
+    for selector in selectors:
+        solver.add_clauses(
+            [-selector] + clause
+            for clause in random_cnf(rng, THRESHOLD_VARS, 3, min_width=3)
+        )
+        primaries = rng.sample(range(1, THRESHOLD_VARS + 1), 3)
+        assumptions = [selector] + [-s for s in selectors if s != selector]
+        found[selector] = []
+        while True:
+            result = solver.solve(assumptions=assumptions)
+            if not result.satisfiable:
+                break
+            projection = [p if result.model[p] else -p for p in primaries]
+            assert projection not in found[selector], (FUZZ_SEED, index)
+            found[selector].append(projection)
+            solver.add_clause([-selector] + [-lit for lit in projection])
+    return found
+
+
+def _threshold_instances():
+    rng = random.Random(FUZZ_SEED ^ 0x3C2B)
+    for index in range(min(ROUNDS, 12)):
+        yield index, rng.randint(0, 2 ** 31)
+
+
+@pytest.mark.parametrize(
+    "index,seed", list(_threshold_instances()), ids=str
+)
+class TestThresholdCnf:
+    """Near-threshold random 3-CNF, vouched for by the checker alone.
+
+    No truth table is in reach at ``THRESHOLD_VARS`` variables; instead
+    an UNSAT answer must be refuted by unit propagation over the
+    RUP-checked lemmas, and a model must satisfy every clause."""
+
+    def test_cold_answer_is_proof_checked(self, index, seed):
+        solver = CheckedSolver()
+        solver.add_clauses(threshold_cnf(random.Random(seed), 4.26))
+        result = solver.solve()
+        kind = "models" if result.satisfiable else "unsat"
+        assert solver.checks[kind] == 1, (FUZZ_SEED, index)
+
+    def test_gated_enumeration_is_proof_checked(self, index, seed):
+        solver = CheckedSolver()
+        found = gated_enumeration(solver, random.Random(seed), index)
+        # One checked model per projection, one checked UNSAT per gate.
+        assert solver.checks["models"] == sum(map(len, found.values()))
+        assert solver.checks["unsat"] == len(found), (FUZZ_SEED, index)
+
+
+class _SearchCounts(CheckedSolver):
+    """Counts restarts, learned-clause reductions and arena compactions
+    across solves."""
+
+    def __init__(self):
+        super().__init__()
+        self.restarts = self.reductions = self.compactions = 0
+
+    def _reduce_db(self):
+        self.reductions += 1
+        super()._reduce_db()
+
+    def _compact_arena(self):
+        self.compactions += 1
+        super()._compact_arena()
+
+    def solve(self, assumptions=(), conflict_budget=None):
+        try:
+            return super().solve(assumptions, conflict_budget)
+        finally:
+            self.restarts += self._restarts
+
+
+def test_threshold_enumeration_restarts_reduces_and_compacts():
+    """The near-threshold family reaches the search paths the tiny
+    instances never do, so those paths run under the checker too (a
+    fixed instance: the fuzz seed does not move it)."""
+    solver = _SearchCounts()
+    gated_enumeration(solver, random.Random(20160807))
+    assert solver.restarts > 0
+    assert solver.reductions > 0
+    assert solver.compactions > 0
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBudgetContract:
     """``BudgetExhausted`` must fire at exactly ``>= budget`` conflicts,
-    and the interrupted solver must stay reusable -- identically on both
-    backends (the pipeline's degraded-result accounting depends on the
-    exact counter values)."""
+    and the interrupted solver must stay reusable (the pipeline's
+    degraded-result accounting depends on the exact counter values)."""
 
     @staticmethod
     def _hard_instance(backend):
@@ -365,7 +485,7 @@ class TestSolveResultTruthiness:
     """
 
     def test_sat_result_is_truthy(self):
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clause([1])
         result = solver.solve()
         assert result.satisfiable
@@ -373,7 +493,7 @@ class TestSolveResultTruthiness:
         assert result  # idiomatic use
 
     def test_unsat_result_is_falsy_but_not_none(self):
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clause([1])
         solver.add_clause([-1])
         result = solver.solve()
@@ -382,7 +502,7 @@ class TestSolveResultTruthiness:
         assert not result
 
     def test_unsat_under_assumptions_is_falsy(self):
-        solver = Solver()
+        solver = FastSolver()
         solver.add_clause([1, 2])
         result = solver.solve(assumptions=[-1, -2])
         assert result is not None

@@ -1,11 +1,10 @@
-"""Unit tests for the CDCL SAT solver."""
+"""Unit tests for the CDCL SAT solver, ``FastSolver``."""
 
 import itertools
 
 import pytest
 
-from repro.sat import Solver
-from repro.sat.solver import BudgetExhausted
+from repro.sat import BudgetExhausted, FastSolver
 
 
 def check_model(clauses, model):
@@ -25,50 +24,50 @@ def brute_force_sat(clauses, num_vars):
 
 class TestBasics:
     def test_empty_formula_is_sat(self):
-        assert Solver().solve().satisfiable
+        assert FastSolver().solve().satisfiable
 
     def test_single_unit(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1])
         res = s.solve()
         assert res.satisfiable
         assert res.model[1] is True
 
     def test_contradictory_units(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1])
         assert not s.add_clause([-1])
         assert not s.solve().satisfiable
 
     def test_simple_sat(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clauses([[1, 2], [-1, 2], [1, -2]])
         res = s.solve()
         assert res.satisfiable
         assert check_model([[1, 2], [-1, 2], [1, -2]], res.model)
 
     def test_simple_unsat(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clauses([[1, 2], [-1, 2], [1, -2], [-1, -2]])
         assert not s.solve().satisfiable
 
     def test_tautology_ignored(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, -1])
         assert s.solve().satisfiable
 
     def test_duplicate_literals_merged(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, 1, 1])
         res = s.solve()
         assert res.model[1] is True
 
     def test_zero_literal_rejected(self):
         with pytest.raises(ValueError):
-            Solver().add_clause([0])
+            FastSolver().add_clause([0])
 
     def test_stats_exposed(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clauses([[1, 2], [-1, 3], [-2, 3]])
         res = s.solve()
         assert res.propagations >= 0
@@ -77,14 +76,14 @@ class TestBasics:
 
 class TestAssumptions:
     def test_sat_under_assumption(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, 2])
         res = s.solve(assumptions=[-1])
         assert res.satisfiable
         assert res.model[2] is True
 
     def test_unsat_under_assumption_recoverable(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, 2])
         s.add_clause([-2, 1])
         assert not s.solve(assumptions=[-1]).satisfiable
@@ -93,12 +92,12 @@ class TestAssumptions:
         assert s.solve(assumptions=[1]).satisfiable
 
     def test_conflicting_assumptions(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, 2])
         assert not s.solve(assumptions=[1, -1]).satisfiable
 
     def test_assumptions_respected_in_model(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clauses([[1, 2, 3]])
         res = s.solve(assumptions=[-1, -2])
         assert res.satisfiable
@@ -110,7 +109,7 @@ class TestAssumptions:
         """A conflict under an assumption learns that assumption's negation
         as a level-0 unit: the assumed solve must come back UNSAT, and the
         solver must stay sound for later assumption-free calls."""
-        s = Solver()
+        s = FastSolver()
         s.add_clauses([[-1, 2], [-1, -2], [3, 4]])
         assert not s.solve(assumptions=[1]).satisfiable
         # The learned unit -1 is a real consequence of the clauses, so the
@@ -126,7 +125,7 @@ class TestAssumptions:
 
 class TestIncremental:
     def test_add_clauses_between_solves(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, 2])
         assert s.solve().satisfiable
         s.add_clause([-1])
@@ -136,7 +135,7 @@ class TestIncremental:
         assert not s.solve().satisfiable
 
     def test_blocking_clause_enumeration(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clause([1, 2])
         models = []
         while True:
@@ -171,12 +170,12 @@ class TestPigeonhole:
 
     @pytest.mark.parametrize("holes", [2, 3, 4, 5])
     def test_unsat(self, holes):
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.pigeonhole(holes))
         assert not s.solve().satisfiable
 
     def test_budget_exhaustion(self):
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.pigeonhole(7))
         with pytest.raises(BudgetExhausted):
             s.solve(conflict_budget=5)
@@ -185,7 +184,7 @@ class TestPigeonhole:
         """A budgeted call raises at exactly the budgeted conflict count,
         never one past it -- callers folding ``exc.conflicts`` into a
         shared budget must not be able to overshoot it."""
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.pigeonhole(7))
         with pytest.raises(BudgetExhausted) as info:
             s.solve(conflict_budget=5)
@@ -194,7 +193,7 @@ class TestPigeonhole:
     def test_add_clause_after_budget_miss(self):
         """Regression: BudgetExhausted used to leave the trail at a nonzero
         decision level, so the next add_clause raised RuntimeError."""
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.pigeonhole(7))
         with pytest.raises(BudgetExhausted):
             s.solve(conflict_budget=5)
@@ -207,7 +206,7 @@ class TestPigeonhole:
     def test_resume_solving_after_budget_miss(self):
         """A budget miss is a pause, not corruption: retrying with a larger
         budget converges to the right answer on the same solver."""
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.pigeonhole(5))
         budget = 5
         misses = 0
@@ -249,7 +248,7 @@ class TestGraphColoring:
     def test_cycle_even_2colorable(self):
         edges = [(i, (i + 1) % 6) for i in range(6)]
         clauses = self.coloring_clauses(edges, 6, colors=2)
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(clauses)
         res = s.solve()
         assert res.satisfiable
@@ -257,13 +256,13 @@ class TestGraphColoring:
 
     def test_odd_cycle_not_2colorable(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.coloring_clauses(edges, 5, colors=2))
         assert not s.solve().satisfiable
 
     def test_k4_3colorable_fails(self):
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(self.coloring_clauses(edges, 4, colors=3))
         assert not s.solve().satisfiable
 
@@ -273,7 +272,7 @@ class TestGraphColoring:
         spokes = [(i, i + 5) for i in range(5)]
         edges = outer + inner + spokes
         clauses = self.coloring_clauses(edges, 10, colors=3)
-        s = Solver()
+        s = FastSolver()
         s.add_clauses(clauses)
         res = s.solve()
         assert res.satisfiable

@@ -1,10 +1,10 @@
-"""Property-based tests: the solver agrees with brute force on random CNFs."""
+"""Property-based tests: ``FastSolver`` agrees with brute force on random CNFs."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import Solver
+from repro.sat import FastSolver
 
 MAX_VARS = 6
 
@@ -38,7 +38,7 @@ def brute_force(num_vars, clauses):
 def test_agrees_with_brute_force(problem):
     num_vars, clauses = problem
     expected = brute_force(num_vars, clauses)
-    solver = Solver()
+    solver = FastSolver()
     solver.add_clauses(clauses)
     result = solver.solve()
     assert result.satisfiable == (expected is not None)
@@ -56,7 +56,7 @@ def test_assumptions_agree_with_added_units(problem, assumed_vars):
     with_units = clauses + [[a] for a in assumptions]
     expected = brute_force(num_vars, with_units)
 
-    solver = Solver()
+    solver = FastSolver()
     solver.add_clauses(clauses)
     result = solver.solve(assumptions=assumptions)
     assert result.satisfiable == (expected is not None)
@@ -76,7 +76,7 @@ def test_enumeration_finds_all_models(problem):
         if all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses):
             all_models.add(bits)
 
-    solver = Solver()
+    solver = FastSolver()
     solver.ensure_var(num_vars)
     solver.add_clauses(clauses)
     found = set()

@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sat import CNF, Solver
+from repro.sat import CNF, FastSolver
 from repro.sat import tseitin as ts
 from tests.relational.test_encoding_identity import (
     reference_and,
@@ -101,7 +101,7 @@ def test_tseitin_equisatisfiable(circuit):
     cnf = CNF(MAX_VAR)
     enc = ts.TseitinEncoder(cnf)
     enc.assert_node(circuit)
-    solver = Solver()
+    solver = FastSolver()
     solver.ensure_var(MAX_VAR)
     solver.add_clauses(cnf.clauses)
     result = solver.solve()

@@ -109,12 +109,10 @@ class TestAdversarialStream:
         # The composition was revisited, so warmth actually engaged.
         assert session.warm_hits >= 1
 
-    @pytest.mark.parametrize("solver", ["fast", "reference"])
-    def test_backends_agree_warm(self, adversarial, solver, use_solver):
+    def test_whole_bundle_warm_equals_cold(self, adversarial):
         apps, _ = adversarial
-        use_solver(solver)
         config = SessionConfig(scenarios_per_signature=4)
-        session = DeviceSession(f"adv-{solver}", config=config)
+        session = DeviceSession("adv", config=config)
         for app in apps:
             session.install(serialize.app_to_dict(app))
         assert_warm_equals_cold(session, config)

@@ -3,8 +3,10 @@
 Replays seeded install/update/uninstall/grant/revoke streams through live
 sessions and asserts every synthesis-backed answer -- scenarios, policy
 sets, vulnerability findings -- is byte-identical to a fresh cold run of
-the same composition, on both solvers (the reference one swapped in
-through the ``use_solver`` seam) and both PDP backends.
+the same composition, on both PDP backends.  The running-example stream
+runs on :class:`tests.rup.CheckedSolver` (the ``checked_solver`` seam),
+so every "no further scenario" answer behind its warm and cold results
+is also proof-checked.
 Audit sequences are compared the same way: the session's decide stream
 must equal a fresh PDP replaying the identical events under the same
 policies.  One default-configuration stream also goes through the real
@@ -137,17 +139,12 @@ def assert_stream_differential(session, stream, config):
         )
 
 
-CONFIG_MATRIX = [
-    pytest.param(solver, pdp, id=f"{solver}-{pdp}")
-    for solver in ("fast", "reference")
-    for pdp in ("compiled", "linear")
-]
+PDP_BACKENDS = ("compiled", "linear")
 
 
 class TestStreamDifferential:
-    @pytest.mark.parametrize("solver,pdp", CONFIG_MATRIX)
-    def test_running_example_stream(self, apps, solver, pdp, use_solver):
-        use_solver(solver)
+    @pytest.mark.parametrize("pdp", PDP_BACKENDS)
+    def test_running_example_stream(self, apps, pdp, checked_solver):
         config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
         session = DeviceSession("diff", config=config)
         stream = seeded_stream(apps, seed=7, events=10)
@@ -155,6 +152,7 @@ class TestStreamDifferential:
         # The stream revisited compositions, so warmth actually engaged.
         assert session.warm_hits >= 1
         assert session.syntheses < session.warm_lookups
+        assert checked_solver["unsat"] > 0
 
     def test_corpus_stream_default_config(self, corpus_apps):
         config = SessionConfig(scenarios_per_signature=2)
@@ -162,9 +160,8 @@ class TestStreamDifferential:
         stream = seeded_stream(corpus_apps, seed=23, events=8)
         assert_stream_differential(session, stream, config)
 
-    @pytest.mark.parametrize("solver,pdp", CONFIG_MATRIX)
-    def test_policy_sets_identical(self, apps, solver, pdp, use_solver):
-        use_solver(solver)
+    @pytest.mark.parametrize("pdp", PDP_BACKENDS)
+    def test_policy_sets_identical(self, apps, pdp):
         config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
         session = DeviceSession("pol", config=config)
         for app in apps:
@@ -175,20 +172,16 @@ class TestStreamDifferential:
 
 
 class TestBackendAgreement:
-    def test_all_four_combos_agree_on_findings(self, apps, use_solver):
-        """The solver and the PDP backend never change results: every
-        combo produces one identical findings bundle."""
+    def test_both_pdp_backends_agree_on_findings(self, apps):
+        """The PDP backend never changes results: both produce one
+        identical findings bundle."""
         bundles = set()
-        for solver in ("fast", "reference"):
-            use_solver(solver)
-            for pdp in ("compiled", "linear"):
-                config = SessionConfig(
-                    scenarios_per_signature=2, pdp_backend=pdp
-                )
-                session = DeviceSession(f"{solver}-{pdp}", config=config)
-                for app in apps:
-                    session.install(serialize.app_to_dict(app))
-                bundles.add(canon(session.analyze()))
+        for pdp in PDP_BACKENDS:
+            config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
+            session = DeviceSession(pdp, config=config)
+            for app in apps:
+                session.install(serialize.app_to_dict(app))
+            bundles.add(canon(session.analyze()))
         assert len(bundles) == 1
 
 

@@ -16,6 +16,7 @@ from repro.benchsuite.running_example import (
 )
 from repro.core.model import PathModel
 from repro.dex import DexClass, DexProgram, MethodBuilder
+from repro.obs import InMemoryTracer, set_tracer
 from repro.statics import extract_app, extract_bundle
 from repro.statics.callgraph import CallGraph
 from repro.statics.constprop import ValueAnalysis
@@ -480,3 +481,26 @@ class TestExtractionMetadata:
     def test_size_recorded(self):
         model = extract_app(build_app1())
         assert model.apk_size_kb > 0
+
+
+class TestExtractionSpans:
+    def test_each_pass_has_its_own_span(self):
+        """Value analysis is timed apart from the call graph: every AME
+        pass is one child span of ``ame.extract``, in the order it runs."""
+        tracer = InMemoryTracer()
+        previous = set_tracer(tracer)
+        try:
+            extract_app(build_app1())
+        finally:
+            set_tracer(previous)
+        [root] = [r for r in tracer.records if r.name == "ame.extract"]
+        children = [
+            r.name for r in tracer.records if r.parent_id == root.span_id
+        ]
+        assert children == [
+            "ame.callgraph",
+            "ame.constprop",
+            "ame.taint",
+            "ame.intents",
+            "ame.permissions",
+        ]
