@@ -666,10 +666,10 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
     ``HIGHER_BETTER``.  A second phase drives a ``decide`` stream
     through a live socket server for end-to-end requests/sec and
     per-request latency, then replays a shorter stream twice -- once
-    with the whole telemetry stack (span tracing + cost ledger) swapped
-    out, once with it live -- and reports the per-request p50/p99 of
-    each plus ``telemetry_overhead_pct``, the price of attribution on
-    the hot decide path.
+    with span tracing off, once with it on -- and reports the
+    per-request p50/p99 of each plus ``telemetry_overhead_pct``, the
+    price of tracing on the hot decide path (each session's cost
+    account is charged in both).
     """
     import json as _json
     import random
@@ -787,16 +787,10 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
             socket_seconds = time.perf_counter() - t0
 
             # ---- telemetry-overhead phase: the same decide stream with
-            # the observability stack off, then fully on.  The server's
-            # event loop runs in this process, so the globals swapped
-            # here govern its request handling too.
-            from repro.obs import (
-                NULL_COST_LEDGER,
-                CostLedger,
-                JsonlTracer,
-                set_cost_ledger,
-                set_tracer,
-            )
+            # tracing off, then on.  The server's event loop runs in this
+            # process, so the tracer swapped here governs its request
+            # handling too.
+            from repro.obs import JsonlTracer, set_tracer
 
             def drive_decides(count: int) -> List[float]:
                 lat: List[float] = []
@@ -811,7 +805,6 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
                 return lat
 
             telemetry_requests = max(1, num_requests // 2)
-            previous_ledger = set_cost_ledger(NULL_COST_LEDGER)
             off_latencies = drive_decides(telemetry_requests)
 
             fd, trace_path = tempfile.mkstemp(
@@ -820,12 +813,10 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
             os.close(fd)
             tracer = JsonlTracer(trace_path)
             previous_tracer = set_tracer(tracer)
-            set_cost_ledger(CostLedger())
             try:
                 on_latencies = drive_decides(telemetry_requests)
             finally:
                 set_tracer(previous_tracer)
-                set_cost_ledger(previous_ledger)
                 tracer.close()
                 try:
                     os.unlink(trace_path)

@@ -14,11 +14,11 @@ Usage (``python -m repro <command>``):
   cache, ``--report``/``--findings`` write machine-readable outputs, and
   ``--trace FILE`` records a JSONL span trace of the whole run.
 - ``simulate``                  -- synthesize policies for the running
-  example, enforce them on the simulated device while the malicious app
-  attacks, and print (or save with ``--audit``) the enforcement audit
-  log; ``--pdp-backend`` picks the decision engine (``compiled`` indexed
-  dispatch by default, ``linear`` reference scan), ``--consent`` answers
-  every prompt with allow.
+  example, enforce them on the simulated device (compiled PDP) while the
+  malicious app attacks, and print (or save with ``--audit``) the
+  enforcement audit log; ``--consent`` answers every prompt with allow.
+  The linear reference PDP stays reachable as
+  ``repro.enforcement.make_pdp(backend="linear")``.
 - ``trace FILE``                -- render the span tree and top-k hotspots
   of a JSONL trace produced by ``pipeline --trace`` or ``enable_tracing``;
   spans whose process died before completion render as ``[UNFINISHED]``.
@@ -35,7 +35,7 @@ Usage (``python -m repro <command>``):
   Prometheus telemetry on ``--metrics-port``.  See ``docs/SERVICE.md``.
 - ``top``                       -- live view of a running service: per-device
   sessions, queue depths, in-flight request ages, warm-hit rates, and the
-  top cost-ledger accounts; ``--once`` prints a single frame.
+  costliest device accounts; ``--once`` prints a single frame.
 - ``adversarial``               -- generate the seeded adversarial corpus
   (power-law ICC background plus planted multi-step attacks and near-miss
   decoys), optionally write the ground-truth manifest JSON, and score the
@@ -165,7 +165,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.obs import enable_cost_ledger, enable_metrics, enable_tracing
+    from repro.obs import enable_metrics, enable_tracing
     from repro.pipeline import (
         AnalysisPipeline,
         FaultPolicy,
@@ -199,7 +199,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             ),
         )
     enable_metrics()
-    enable_cost_ledger()
 
     monitor = None
     if args.watch:
@@ -368,11 +367,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     prompt = (
         (lambda policy, event: True) if args.consent else deny_all_prompts
     )
-    pdp = make_pdp(
-        report.policies,
-        backend=args.pdp_backend,
-        prompt_callback=prompt,
-    )
+    pdp = make_pdp(report.policies, prompt_callback=prompt)
     pep = PolicyEnforcementPoint(runtime, pdp)
     pep.install()
     runtime.start_component(args.entry)
@@ -505,7 +500,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             scenarios_per_signature=args.scenarios,
             conflict_budget=args.conflict_budget,
             time_budget_seconds=args.time_budget,
-            pdp_backend=args.pdp_backend,
             cache_entries=args.cache_entries,
         ),
     )
@@ -583,17 +577,12 @@ def _render_top(health: dict, status: dict) -> str:
         lines.append("")
         lines.append("  top cost accounts (by conflicts):")
         for entry in top_costs:
-            label = entry.get("bundle") or entry.get("device") or "?"
-            signature = entry.get("signature") or "-"
             lines.append(
-                "    {} [{}]: {} conflicts, {} propagations, "
-                "{:.2f}s (trace {})".format(
-                    label,
-                    signature,
+                "    {}: {} conflicts, {} propagations, {:.2f}s".format(
+                    entry.get("device") or "?",
                     int(entry.get("conflicts", 0)),
                     int(entry.get("propagations", 0)),
                     entry.get("wall_seconds", 0.0),
-                    entry.get("trace_id") or "-",
                 )
             )
     return "\n".join(lines)
@@ -1017,16 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer every security prompt with 'allow' "
         "(default: the cautious user denies)",
     )
-    from repro.enforcement import DEFAULT_PDP_BACKEND, PDP_BACKENDS
-
-    simulate.add_argument(
-        "--pdp-backend",
-        choices=sorted(PDP_BACKENDS),
-        default=DEFAULT_PDP_BACKEND,
-        help="policy decision engine: 'compiled' (indexed dispatch + "
-        "decision cache, default) or 'linear' (the readable reference "
-        "scan); decisions and audit output are identical either way",
-    )
     simulate.add_argument(
         "--audit", help="write the audit log here as JSONL"
     )
@@ -1182,12 +1161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "degradation semantics (default: unbounded)",
     )
     serve.add_argument(
-        "--pdp-backend",
-        choices=["compiled", "linear"],
-        default="compiled",
-        help="policy decision engine (default: %(default)s)",
-    )
-    serve.add_argument(
         "--cache-entries",
         type=int,
         default=256,
@@ -1203,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Poll a running `repro serve` daemon's healthz and status verbs "
             "and render a per-device table (installed apps, requests, queue "
             "depth, in-flight age, warm-hit rate, cache occupancy) plus the "
-            "top cost-ledger accounts by solver conflicts."
+            "costliest device accounts by solver conflicts."
         ),
     )
     top.add_argument(

@@ -40,9 +40,11 @@ from repro.enforcement.pdp import (
 )
 from repro.enforcement.pep import PolicyEnforcementPoint
 
-#: Name -> constructor for every PDP backend.  Names are the values
-#: accepted by ``make_pdp(backend=...)`` and ``repro simulate
-#: --pdp-backend``.
+#: Name -> constructor for every PDP backend, by the names
+#: ``make_pdp(backend=...)`` accepts.  The product (``repro simulate``,
+#: ``repro serve``, ``DeviceGuard``) always runs ``compiled``;
+#: ``linear`` is the reference that differential tests and the benchmark's
+#: verdict checks replay through this seam.
 PDP_BACKENDS = {
     "linear": PolicyDecisionPoint,
     "compiled": CompiledPolicyDecisionPoint,
@@ -61,8 +63,9 @@ def make_pdp(
 
     The choice never affects decisions or audit sequences -- the backends
     are held identical by ``tests/enforcement/test_pdp_differential.py``
-    -- only the per-event dispatch cost, so callers may treat the name as
-    a pure performance knob.
+    -- only the per-event dispatch cost.  Product callers take the
+    default; ``backend="linear"`` builds the reference PDP to check
+    verdicts against.
     """
     try:
         factory = PDP_BACKENDS[backend]

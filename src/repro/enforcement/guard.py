@@ -35,19 +35,14 @@ class DeviceGuard:
         runtime: Optional[AndroidRuntime] = None,
         separ: Optional[Separ] = None,
         prompt_callback: PromptCallback = deny_all_prompts,
-        pdp_backend: Optional[str] = None,
     ) -> None:
-        from repro.enforcement import DEFAULT_PDP_BACKEND, make_pdp
+        from repro.enforcement import make_pdp
 
         self.runtime = runtime or AndroidRuntime()
         self.separ = separ or Separ(scenarios_per_signature=4)
         self._extractor = ModelExtractor()
         self._models: Dict[str, AppModel] = {}
-        self.pdp = make_pdp(
-            [],
-            backend=pdp_backend or DEFAULT_PDP_BACKEND,
-            prompt_callback=prompt_callback,
-        )
+        self.pdp = make_pdp([], prompt_callback=prompt_callback)
         self.pep = PolicyEnforcementPoint(self.runtime, self.pdp)
         self.pep.install()
         self.last_report: Optional[SeparReport] = None

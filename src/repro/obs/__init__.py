@@ -20,10 +20,11 @@ Four pillars, all zero-cost when disabled:
   trace``, Chrome trace-event JSON for Perfetto, Prometheus text
   exposition for scrapers.
 
-A fifth pillar rides on the tracer's trace ids: :mod:`repro.obs.cost`,
-a ledger attributing metered work (solver conflicts, cache traffic, PDP
-cache hits, wall-clock) to ``(trace_id, device, bundle, signature)``
-accounts.  Defaults to a no-op; enable with :func:`enable_cost_ledger`.
+:mod:`repro.obs.cost` is not a pillar: it has no global instance and no
+switch.  A :class:`CostLedger` attributes metered work (solver
+conflicts, cache traffic, PDP cache hits, wall-clock) to
+``(trace_id, device, bundle, signature)`` accounts, and each one belongs
+to the pipeline run or the device session that charges it.
 
 Pipeline worker processes get tracing, heartbeats and metrics from the
 telemetry envelope each task carries (see
@@ -36,16 +37,7 @@ enabling or disabling observability cannot perturb the byte-identical
 serial/parallel guarantee or invalidate cached pipeline entries.
 """
 
-from repro.obs.cost import (
-    COST_FIELDS,
-    NULL_COST_LEDGER,
-    CostKey,
-    CostLedger,
-    NullCostLedger,
-    enable_cost_ledger,
-    get_cost_ledger,
-    set_cost_ledger,
-)
+from repro.obs.cost import COST_FIELDS, CostKey, CostLedger
 from repro.obs.export import (
     PROMETHEUS_CONTENT_TYPE,
     chrome_trace,
@@ -103,10 +95,8 @@ __all__ = [
     "InMemoryTracer",
     "JsonlTracer",
     "MetricsRegistry",
-    "NULL_COST_LEDGER",
     "NULL_METRICS",
     "NULL_TRACER",
-    "NullCostLedger",
     "NullMetricsRegistry",
     "NullTracer",
     "PROGRESS_ENV",
@@ -122,10 +112,8 @@ __all__ = [
     "cost_metrics_snapshot",
     "current_trace_context",
     "current_trace_id",
-    "enable_cost_ledger",
     "enable_metrics",
     "enable_tracing",
-    "get_cost_ledger",
     "get_metrics",
     "get_tracer",
     "make_metrics_server",
@@ -136,7 +124,6 @@ __all__ = [
     "render_prometheus",
     "render_span_tree",
     "sanitize_metric_name",
-    "set_cost_ledger",
     "set_metrics",
     "set_tracer",
     "span",

@@ -2,27 +2,32 @@
 
 The metrics registry answers "how much work did this process do"; the
 ledger answers "on whose behalf".  Every charge lands on a
-``(trace_id, device, bundle, signature)`` key, so a served request, a
-pipeline run, or a single signature inside a shared bundle each have an
-auditable account of the solver conflicts, propagations, decisions,
-clauses, cache traffic, PDP cache hits, and wall-clock they consumed.
+``(trace_id, device, bundle, signature)`` key, so a pipeline run's
+bundles and signatures, or a served device, each have an auditable
+account of the solver conflicts, propagations, decisions, clauses, cache
+traffic, PDP cache hits, and wall-clock they consumed.
+
+A ledger has exactly one owner, and there is no process-wide one:
+
+- :meth:`repro.pipeline.AnalysisPipeline.run` charges a fresh ledger per
+  run, keyed ``(trace_id, bundle[, signature])``; its :meth:`entries`
+  become the run report's ``cost`` list.
+- Each :class:`repro.service.DeviceSession` charges one
+  ``CostKey(device=...)`` account; a request's reply cost is what that
+  account grew by while the request ran.
 
 Charges are posted by the *orchestrator* (pipeline parent process,
-service event loop) from per-task stats payloads and metrics deltas --
-worker processes never touch the ledger, so serial and pooled runs
-attribute identically and nothing here can perturb analysis output or
-cache keys (see ``docs/OBSERVABILITY.md``: instrumentation never feeds
-cache keys).
-
-Follows the tracer/metrics pattern: a no-op :class:`NullCostLedger` is
-installed by default, :func:`enable_cost_ledger` swaps in a live one.
+service batch thread) from per-task stats payloads -- worker processes
+never touch a ledger, so serial and pooled runs attribute identically and
+nothing here can perturb analysis output or cache keys (see
+``docs/OBSERVABILITY.md``: instrumentation never feeds cache keys).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Every meter the ledger tracks, in stable (rendering) order.
 COST_FIELDS: Tuple[str, ...] = (
@@ -53,7 +58,8 @@ class CostKey:
 
     Empty strings mean "not applicable at this grain": a pipeline run has
     no device, an extraction task has no signature, a whole-bundle charge
-    uses ``signature='*'`` when per-signature split is unavailable.
+    uses ``signature='*'`` when per-signature split is unavailable, and a
+    device session's one account carries only its device.
     """
 
     trace_id: str = ""
@@ -69,34 +75,19 @@ class CostKey:
             "signature": self.signature,
         }
 
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "CostKey":
-        return CostKey(
-            trace_id=str(data.get("trace_id", "")),
-            device=str(data.get("device", "")),
-            bundle=str(data.get("bundle", "")),
-            signature=str(data.get("signature", "")),
-        )
-
 
 class CostLedger:
     """Thread-safe accumulator of charges keyed by :class:`CostKey`.
 
-    ``capacity`` bounds distinct keys (a long-lived service sees a fresh
-    trace id per request): when full, the oldest-charged keys are evicted
-    so the resident set stays flat.  Totals queried per trace id are exact
-    as long as the trace's entries have not been evicted, which holds for
-    any in-flight request.
+    The lock matters for the service: the global ``status`` and the
+    metrics scrape thread read a session's account while that device's
+    batch thread charges it.
     """
 
-    enabled = True
-
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = max(1, int(capacity))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        # dict preserves insertion order -> cheap FIFO eviction.
+        # dict preserves insertion order: entries() lists charge order.
         self._entries: Dict[CostKey, Dict[str, float]] = {}
-        self.evictions = 0
 
     def charge(self, key: CostKey, **amounts: float) -> None:
         """Add ``amounts`` (field=value) to ``key``'s account.
@@ -110,11 +101,7 @@ class CostLedger:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                while len(self._entries) >= self.capacity:
-                    self._entries.pop(next(iter(self._entries)))
-                    self.evictions += 1
-                entry = {field: 0.0 for field in COST_FIELDS}
-                self._entries[key] = entry
+                entry = self._entries[key] = dict.fromkeys(COST_FIELDS, 0.0)
             for name, value in amounts.items():
                 entry[name] += float(value)
 
@@ -133,92 +120,19 @@ class CostLedger:
         """Every account as ``{**key, **meters}`` dicts, charge order."""
         with self._lock:
             return [
-                {**key.to_dict(), **dict(meters)}
+                {**key.to_dict(), **meters}
                 for key, meters in self._entries.items()
             ]
 
-    def totals(
-        self,
-        trace_id: Optional[str] = None,
-        device: Optional[str] = None,
-    ) -> Dict[str, float]:
-        """Sum of every meter over accounts matching the given filters."""
-        totals = {field: 0.0 for field in COST_FIELDS}
+    def totals(self) -> Dict[str, float]:
+        """Sum of every meter over all accounts."""
+        totals = dict.fromkeys(COST_FIELDS, 0.0)
         with self._lock:
-            for key, meters in self._entries.items():
-                if trace_id is not None and key.trace_id != trace_id:
-                    continue
-                if device is not None and key.device != device:
-                    continue
+            for meters in self._entries.values():
                 for field in COST_FIELDS:
                     totals[field] += meters[field]
         return totals
 
-    def top(self, n: int = 5, by: str = "conflicts") -> List[Dict[str, Any]]:
-        """The ``n`` costliest accounts ranked by meter ``by``."""
-        if by not in COST_FIELDS:
-            raise KeyError(f"unknown cost field: {by!r}")
-        ranked = sorted(
-            self.entries(), key=lambda entry: entry[by], reverse=True
-        )
-        return ranked[: max(0, int(n))]
-
-    def merge(self, entries: Iterable[Dict[str, Any]]) -> None:
-        """Fold exported :meth:`entries` rows back in (report round-trip)."""
-        for entry in entries:
-            key = CostKey.from_dict(entry)
-            amounts = {
-                field: float(entry.get(field, 0) or 0) for field in COST_FIELDS
-            }
-            self.charge(key, **amounts)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.evictions = 0
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-
-class NullCostLedger(CostLedger):
-    """The disabled ledger: accepts charges, records nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capacity=1)
-
-    def charge(self, key: CostKey, **amounts: float) -> None:
-        return None
-
-    def charge_stats(self, key: CostKey, stats: Dict[str, Any]) -> None:
-        return None
-
-    def merge(self, entries: Iterable[Dict[str, Any]]) -> None:
-        return None
-
-
-NULL_COST_LEDGER = NullCostLedger()
-_ledger: CostLedger = NULL_COST_LEDGER
-
-
-def get_cost_ledger() -> CostLedger:
-    return _ledger
-
-
-def set_cost_ledger(ledger: CostLedger) -> CostLedger:
-    """Install ``ledger`` globally; returns the previous ledger."""
-    global _ledger
-    previous = _ledger
-    _ledger = ledger
-    return previous
-
-
-def enable_cost_ledger(capacity: int = 4096) -> CostLedger:
-    """Swap in a live ledger (idempotent: reuses an existing live one)."""
-    global _ledger
-    if not _ledger.enabled:
-        _ledger = CostLedger(capacity=capacity)
-    return _ledger

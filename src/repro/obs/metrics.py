@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 class Counter:
@@ -134,27 +134,6 @@ class Histogram:
         return data
 
 
-def _coarsen_buckets(
-    bounds: Sequence[float],
-    counts: Sequence[int],
-    new_bounds: Sequence[float],
-) -> List[int]:
-    """Re-bucket per-interval ``counts`` onto ``new_bounds``.
-
-    Exact whenever ``new_bounds`` is a subset of ``bounds``: every old
-    interval then fits inside exactly one new interval, so counts are
-    summed, never split.
-    """
-    new_counts = [0] * (len(new_bounds) + 1)
-    for i, n in enumerate(counts):
-        if i < len(bounds):
-            target = bisect_left(new_bounds, bounds[i])
-        else:  # old overflow bucket joins the new overflow bucket
-            target = len(new_bounds)
-        new_counts[target] += n
-    return new_counts
-
-
 class MetricsRegistry:
     """Named instruments, created on first use."""
 
@@ -215,16 +194,12 @@ class MetricsRegistry:
         registry: counters and histogram sums add, min/max widen, gauges
         take the incoming value (last write wins).
 
-        Bucketed histograms merge by boundary reconciliation.  Identical
-        boundaries add element-wise; a fresh (never-observed) local
-        histogram adopts the incoming boundaries wholesale.  When the two
-        sides were created with *different* boundaries, both are coarsened
-        -- exactly, since counts only ever sum across whole intervals --
-        onto the intersection of the two boundary sets; an empty
-        intersection widens the result all the way to an unbucketed
-        summary (count/sum/min/max are always preserved).  Merging is
-        therefore total: it degrades resolution, never raises and never
-        invents counts.
+        Bucketed histograms merge by three rules: identical boundaries
+        add element-wise, a fresh (never-observed, unbucketed) local
+        histogram adopts the incoming boundaries, and any other pairing
+        widens to the unbucketed summary (count/sum/min/max are always
+        preserved).  Merging is therefore total: it degrades resolution,
+        never raises and never invents counts.
         """
         for name, data in snapshot.items():
             kind = data.get("type")
@@ -255,25 +230,10 @@ class MetricsRegistry:
                 elif hist.bounds == in_bounds:
                     for i, n in enumerate(in_counts):
                         hist.bucket_counts[i] += n
-                elif hist.bounds or in_bounds:
-                    common = tuple(
-                        b for b in hist.bounds if b in set(in_bounds)
-                    )
-                    if common:
-                        ours = _coarsen_buckets(
-                            hist.bounds, hist.bucket_counts, common
-                        )
-                        theirs = _coarsen_buckets(
-                            in_bounds, in_counts, common
-                        )
-                        hist.bounds = common
-                        hist.bucket_counts = [
-                            a + b for a, b in zip(ours, theirs)
-                        ]
-                    else:
-                        # Nothing shared: widen to the unbucketed summary.
-                        hist.bounds = ()
-                        hist.bucket_counts = []
+                else:
+                    # Differing bounds: widen to the unbucketed summary.
+                    hist.bounds = ()
+                    hist.bucket_counts = []
 
 
 class _NullInstrument:

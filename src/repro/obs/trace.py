@@ -371,23 +371,20 @@ class JsonlTracer(Tracer):
     ``os.write`` call, so concurrent writers (pipeline worker processes)
     never interleave partial lines.
 
-    With ``begin_events`` (the default) every span additionally writes a
-    ``span_begin`` event line when it opens.  A span whose process dies
-    before completion then still leaves its begin line behind, and
-    :func:`read_trace` recovers it as an *open* span instead of dropping
-    it silently -- the difference between "this worker never ran the task"
-    and "this worker was killed mid-task".
+    Every span additionally writes a ``span_begin`` event line when it
+    opens.  A span whose process dies before completion then still leaves
+    its begin line behind, and :func:`read_trace` recovers it as an
+    *open* span instead of dropping it silently -- the difference between
+    "this worker never ran the task" and "this worker was killed
+    mid-task".
 
     ``heartbeat_interval`` (conflicts, 0 = off) turns on solver heartbeat
     lines in the same file.
     """
 
-    def __init__(
-        self, path: str, begin_events: bool = True, heartbeat_interval: int = 0
-    ) -> None:
+    def __init__(self, path: str, heartbeat_interval: int = 0) -> None:
         super().__init__()
         self.path = str(path)
-        self.begin_events = begin_events
         self.heartbeat_interval = max(0, int(heartbeat_interval))
         self._fd = os.open(
             self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
@@ -398,8 +395,6 @@ class JsonlTracer(Tracer):
         os.write(self._fd, line.encode("utf-8"))
 
     def _emit_begin(self, span: "_Span") -> None:
-        if not self.begin_events:
-            return
         payload = {
             "event": "span_begin",
             "name": span.name,

@@ -74,13 +74,13 @@ from repro.core.vulnerabilities import default_signatures, lookup
 from repro.obs import (
     NULL_METRICS,
     CostKey,
+    CostLedger,
     JsonlTracer,
     MetricsRegistry,
     adopt_trace_context,
     aggregate_spans,
     current_trace_context,
     current_trace_id,
-    get_cost_ledger,
     get_metrics,
     get_tracer,
     read_trace,
@@ -302,19 +302,17 @@ def attach_observability(
     """Fold the active observability state into a run report.
 
     Copies the global metrics registry's snapshot into ``report.metrics``
-    (when collection is enabled), the cost ledger's entries into
-    ``report.cost``, and aggregates span records into ``report.spans`` --
-    from ``trace_path`` if given, else from the global tracer (in-memory
-    records, or the JSONL file a :class:`JsonlTracer` appends to, which
-    also contains the worker processes' spans).  No-op on all fields when
-    observability is disabled.
+    (when collection is enabled) and aggregates span records into
+    ``report.spans`` -- from ``trace_path`` if given, else from the
+    global tracer (in-memory records, or the JSONL file a
+    :class:`JsonlTracer` appends to, which also contains the worker
+    processes' spans).  No-op on both fields when observability is
+    disabled.  ``report.cost`` is not touched: the run that filled the
+    report wrote its own ledger there.
     """
     metrics = get_metrics()
     if metrics.enabled:
         report.metrics = metrics.snapshot()
-    ledger = get_cost_ledger()
-    if ledger.enabled:
-        report.cost = ledger.entries()
     records = None
     if trace_path is not None:
         records = read_trace(trace_path)
@@ -794,14 +792,21 @@ class AnalysisPipeline:
 
     # ------------------------------------------------------------------
     def extract_apps(
-        self, apks: Sequence[Apk], report: Optional[RunReport] = None
+        self,
+        apks: Sequence[Apk],
+        report: Optional[RunReport] = None,
+        ledger: Optional[CostLedger] = None,
     ) -> List[Optional[AppModel]]:
         """Extract app models, fanning cache misses out across processes.
 
         Returns a list aligned with ``apks``; an entry is ``None`` when
         that app's extraction ultimately failed (the failure is recorded
         in ``report.failures`` and the app is excluded from its bundle).
+        Each app's cache hit or miss is charged to ``ledger`` (a fresh
+        one unless :meth:`run` passes its own), whose entries become
+        ``report.cost``.
         """
+        ledger = ledger if ledger is not None else CostLedger()
         start = time.perf_counter()
         with get_tracer().span("pipeline.extract", apps=len(apks)) as stage:
             fingerprint = framework_fingerprint()
@@ -831,28 +836,25 @@ class AnalysisPipeline:
                 labels=[apks[i].package for i in miss_indices],
             )
             failures: List[TaskFailure] = []
-            ledger = get_cost_ledger()
-            if ledger.enabled:
-                tid = current_trace_id() or ""
-                missed = set(miss_indices)
-                for i, apk in enumerate(apks):
-                    if i not in missed:
-                        ledger.charge(
-                            CostKey(trace_id=tid, bundle=apk.package),
-                            cache_hits=1,
-                        )
+            tid = current_trace_id() or ""
+            missed = set(miss_indices)
+            for i, apk in enumerate(apks):
+                if i not in missed:
+                    ledger.charge(
+                        CostKey(trace_id=tid, bundle=apk.package),
+                        cache_hits=1,
+                    )
             for index, outcome in zip(miss_indices, outcomes):
                 if outcome.ok:
                     self.cache.put("extract", keys[index], outcome.payload)
                     dicts[index] = outcome.payload
-                    if ledger.enabled:
-                        ledger.charge(
-                            CostKey(trace_id=tid, bundle=apks[index].package),
-                            cache_misses=1,
-                            wall_seconds=float(
-                                outcome.payload.get("extraction_seconds", 0.0)
-                            ),
-                        )
+                    ledger.charge(
+                        CostKey(trace_id=tid, bundle=apks[index].package),
+                        cache_misses=1,
+                        wall_seconds=float(
+                            outcome.payload.get("extraction_seconds", 0.0)
+                        ),
+                    )
                 else:
                     failures.append(outcome.failure)
             if failures:
@@ -866,17 +868,25 @@ class AnalysisPipeline:
             report.num_apps += sum(1 for m in models if m is not None)
             report.failures.extend(f.to_dict() for f in failures)
             report.cache = self.cache.accounting
+            report.cost = ledger.entries()
         return models
 
     # ------------------------------------------------------------------
     def run(self, bundles: Sequence[Sequence[Apk]]) -> PipelineResult:
-        """Analyze every bundle: extraction, synthesis, policies, detection."""
+        """Analyze every bundle: extraction, synthesis, policies, detection.
+
+        Both stages charge one ledger created for this run, so
+        ``run_report.cost`` lists the run's accounts in charge order.
+        """
         run_report = RunReport(jobs=self.jobs)
+        ledger = CostLedger()
         with get_tracer().span(
             "pipeline.run", jobs=self.jobs, bundles=len(bundles)
         ):
             all_apks = [apk for bundle in bundles for apk in bundle]
-            models = self.extract_apps(all_apks, report=run_report)
+            models = self.extract_apps(
+                all_apks, report=run_report, ledger=ledger
+            )
             bundle_models: List[BundleModel] = []
             cursor = 0
             for bundle in bundles:
@@ -894,16 +904,25 @@ class AnalysisPipeline:
                     )
                 )
                 cursor += size
-            result = self.analyze_bundles(bundle_models, run_report=run_report)
+            result = self.analyze_bundles(
+                bundle_models, run_report=run_report, ledger=ledger
+            )
         return result
 
     def analyze_bundles(
         self,
         bundle_models: Sequence[BundleModel],
         run_report: Optional[RunReport] = None,
+        ledger: Optional[CostLedger] = None,
     ) -> PipelineResult:
-        """Synthesis + policy derivation + detection over extracted bundles."""
+        """Synthesis + policy derivation + detection over extracted bundles.
+
+        Each task's cache hit, or miss plus solver stats, is charged to
+        ``ledger`` (a fresh one unless :meth:`run` passes its own), whose
+        entries become ``run_report.cost``.
+        """
         run_report = run_report if run_report is not None else RunReport(jobs=self.jobs)
+        ledger = ledger if ledger is not None else CostLedger()
         run_report.num_bundles += len(bundle_models)
         tracer = get_tracer()
         params = engine_params(
@@ -971,7 +990,6 @@ class AnalysisPipeline:
                 stage="synthesis",
                 labels=[label(t) for t in task_payloads],
             )
-            ledger = get_cost_ledger()
             tid = current_trace_id() or ""
 
             def account(i: int) -> CostKey:
@@ -986,11 +1004,10 @@ class AnalysisPipeline:
                     trace_id=tid, bundle=packages, signature=name or "*"
                 )
 
-            if ledger.enabled:
-                missed = set(miss_indices)
-                for i in range(len(tasks)):
-                    if i not in missed:
-                        ledger.charge(account(i), cache_hits=1)
+            missed = set(miss_indices)
+            for i in range(len(tasks)):
+                if i not in missed:
+                    ledger.charge(account(i), cache_hits=1)
             for index, payload_task, outcome in zip(
                 miss_indices, task_payloads, outcomes
             ):
@@ -999,10 +1016,9 @@ class AnalysisPipeline:
                     continue
                 payload = outcome.payload
                 cached[index] = payload
-                if ledger.enabled:
-                    key = account(index)
-                    ledger.charge(key, cache_misses=1)
-                    ledger.charge_stats(key, payload.get("stats", {}))
+                key = account(index)
+                ledger.charge(key, cache_misses=1)
+                ledger.charge_stats(key, payload.get("stats", {}))
                 if payload.get("incomplete"):
                     # Budget-exhausted: keep the partial scenarios and
                     # report the degradation.  The cache refuses incomplete
@@ -1044,5 +1060,6 @@ class AnalysisPipeline:
                 )
         run_report.add_stage("assemble", time.perf_counter() - start)
         run_report.cache = self.cache.accounting
+        run_report.cost = ledger.entries()
         attach_observability(run_report)
         return PipelineResult(reports=reports, run_report=run_report)

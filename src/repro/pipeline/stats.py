@@ -193,15 +193,14 @@ class SynthesisStatsLike:
 class RunReport:
     """The machine-readable record of one pipeline run.
 
-    ``spans``, ``metrics`` and ``cost`` are populated only when
-    observability is enabled for the run: ``spans`` carries the
-    per-span-name roll-up of a JSONL trace
-    (:func:`repro.obs.view.aggregate_spans` output), ``metrics`` a
-    :meth:`repro.obs.metrics.MetricsRegistry.snapshot`, and ``cost`` the
-    cost ledger's attribution entries
+    ``spans`` and ``metrics`` are populated only when observability is
+    enabled for the run: ``spans`` carries the per-span-name roll-up of a
+    JSONL trace (:func:`repro.obs.view.aggregate_spans` output),
+    ``metrics`` a :meth:`repro.obs.metrics.MetricsRegistry.snapshot`.
+    ``cost`` is always filled: the entries of the run's own cost ledger
     (:meth:`repro.obs.cost.CostLedger.entries` rows keyed by
-    ``trace_id``/``device``/``bundle``/``signature``).  All default to
-    empty and serialize round-trip losslessly.
+    ``trace_id``/``device``/``bundle``/``signature``, in charge order).
+    All default to empty and serialize round-trip losslessly.
 
     ``failures`` lists every task that exhausted its retries
     (:meth:`TaskFailure.to_dict` records) and ``degraded`` every

@@ -12,10 +12,11 @@ the protocol error kind.
 
 Every successful response's envelope fields are kept on the client:
 ``last_trace_id`` is the trace id the server echoed (or minted) for the
-most recent request, ``last_cost`` the ledger totals it charged to that
-trace id (``None`` for non-device ops or when the server's ledger is
-off).  Pass ``trace_id=...`` to :meth:`ServiceClient.request` to join an
-existing trace instead of starting one per request.
+most recent request, ``last_cost`` that request's own cost: what its
+device's cost account grew by while it ran (``None`` for non-device
+ops).  Pass ``trace_id=...`` to :meth:`ServiceClient.request` to join an
+existing trace instead of starting one per request; the cost stays per
+request either way.
 """
 
 from __future__ import annotations

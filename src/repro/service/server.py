@@ -16,10 +16,13 @@ Architecture (see ``docs/SERVICE.md``):
   engine): an over-budget synthesis degrades to a partial result and the
   response says so, rather than a thread being killed mid-solve;
 - a heartbeat task exports liveness + per-session gauges (resident
-  bundles, warm-hit rate, queue depth) through the PR 5 metrics
-  registry, and the optional scrape endpoint
-  (:func:`repro.obs.export.make_metrics_server`) serves them as
-  Prometheus text at ``GET /metrics``;
+  bundles, warm-hit rate, queue depth) through the metrics registry,
+  and the optional scrape endpoint
+  (:func:`repro.obs.export.make_metrics_server`) serves them, with each
+  device's cost account as ``repro_cost_*`` series, as Prometheus text
+  at ``GET /metrics``;
+- every device-op reply carries its request's ``cost``: what the
+  device's account grew by while the request ran;
 - shutdown (the ``shutdown`` op, :meth:`PolicyService.request_shutdown`,
   or SIGTERM/SIGINT in the CLI) stops accepting, lets in-flight batches
   finish, answers queued requests with ``shutting_down``, and tears the
@@ -43,15 +46,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import (
-    CostKey,
-    CostLedger,
+    COST_FIELDS,
     TraceContext,
     adopt_trace_context,
-    get_cost_ledger,
     get_metrics,
     get_tracer,
     new_trace_id,
-    set_cost_ledger,
 )
 from repro.obs.export import cost_metrics_snapshot, make_metrics_server
 from repro.service import protocol
@@ -129,14 +129,6 @@ class PolicyService:
             max_workers=max(1, self.config.workers),
             thread_name_prefix="repro-serve",
         )
-        # Cost attribution is on whenever the daemon runs: without it the
-        # response-level `cost` field, the status top-N, and the scrape's
-        # cost series would all be empty.  Always a *fresh* ledger — the
-        # daemon's accounts must not mingle with whatever a CLI run in
-        # this process charged earlier — and the previous (usually null)
-        # ledger is restored on the way out so embedded/test use doesn't
-        # leak global state.
-        previous_ledger = set_cost_ledger(CostLedger())
         try:
             # The StreamReader limit must cover the protocol's framing
             # bound, or readline() raises on large (but legal) app dicts.
@@ -181,14 +173,16 @@ class PolicyService:
                 self._pool.shutdown(wait=True)
             self._stop_metrics()
             self._remove_files()
-            set_cost_ledger(previous_ledger)
 
     def request_shutdown(self) -> None:
         """Thread-safe shutdown trigger (signal handlers, tests)."""
         loop, event = self._loop, self._shutdown
         if loop is None or event is None:
             return
-        loop.call_soon_threadsafe(event.set)
+        # A client's ``shutdown`` op may have stopped the loop already;
+        # then there is nothing left to stop.
+        with contextlib.suppress(RuntimeError):
+            loop.call_soon_threadsafe(event.set)
 
     # -- background (thread) mode for tests / benches / embedding -------
     def start_background(self) -> "PolicyService":
@@ -291,18 +285,17 @@ class PolicyService:
         op = request["op"]
         # Every request gets a trace id -- the client's, or a fresh one --
         # echoed in the response and carried into the batch thread so the
-        # request's spans and ledger charges all land under the same key.
+        # request's spans all land in one trace.
         trace_id = request.get("trace_id") or new_trace_id()
         request["trace_id"] = trace_id
 
         def finish(
-            result: Dict[str, Any], with_cost: bool = False
+            result: Dict[str, Any], cost: Optional[Dict[str, float]] = None
         ) -> Dict[str, Any]:
             response = protocol.ok_response(rid, result)
             response["trace_id"] = trace_id
-            ledger = get_cost_ledger()
-            if with_cost and ledger.enabled:
-                response["cost"] = ledger.totals(trace_id=trace_id)
+            if cost is not None:
+                response["cost"] = cost
             return response
 
         try:
@@ -317,8 +310,8 @@ class PolicyService:
                 return finish(self._healthz()), False
             if op == "status" and "device" not in request:
                 return finish(self._global_status()), False
-            result = await self._dispatch_device(request)
-            return finish(result, with_cost=True), False
+            result, cost = await self._dispatch_device(request)
+            return finish(result, cost), False
         except ProtocolError as exc:
             return protocol.error_response(rid, exc.kind, exc.message), False
         except asyncio.TimeoutError:
@@ -337,7 +330,10 @@ class PolicyService:
                 False,
             )
 
-    async def _dispatch_device(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    async def _dispatch_device(
+        self, request: Dict[str, Any]
+    ) -> Tuple[Dict[str, Any], Dict[str, float]]:
+        """Queue a device request; resolves to ``(result, cost)``."""
         if self._shutdown.is_set():
             raise ProtocolError("shutting_down", "server is draining")
         device = request["device"]
@@ -391,16 +387,19 @@ class PolicyService:
                     [request for request, _future in batch],
                 )
             except Exception as exc:  # noqa: BLE001 - answer, don't die
-                outcomes = [("error", ("internal", repr(exc)))] * len(batch)
+                outcomes = [("error", ("internal", repr(exc)), None)] * len(
+                    batch
+                )
             finally:
                 self._busy_since[device] = None
                 self._stalled[device] = False
-            for (_request, future), outcome in zip(batch, outcomes):
+            for (_request, future), (status, value, cost) in zip(
+                batch, outcomes
+            ):
                 if future.cancelled():
                     continue
-                status, value = outcome
                 if status == "ok":
-                    future.set_result(value)
+                    future.set_result((value, cost))
                 else:
                     kind, message = value
                     future.set_exception(ProtocolError(kind, message))
@@ -409,21 +408,23 @@ class PolicyService:
     @staticmethod
     def _run_batch(
         session: DeviceSession, requests: List[Dict[str, Any]]
-    ) -> List[Tuple[str, Any]]:
+    ) -> List[Tuple[str, Any, Dict[str, float]]]:
         """Execute a batch on the pool thread; never raises.
 
         Each request runs under its own adopted trace context: the
         request's ``service.request`` span roots its tree (or joins the
         client's, when the request carried a ``trace_id`` from a traced
-        caller), the session's synthesis spans nest under it, and every
-        ledger charge -- including the request's wall-clock on the
-        session thread -- lands on the request's trace id.
+        caller) and the session's synthesis spans nest under it.  Each
+        outcome carries the request's cost: what the device's account,
+        wall clock included, grew by while the request ran.  This thread
+        is the only one running the device's requests, so no other
+        request's charges can land in between.
         """
-        ledger = get_cost_ledger()
-        outcomes: List[Tuple[str, Any]] = []
+        outcomes: List[Tuple[str, Any, Dict[str, float]]] = []
         for request in requests:
             trace_id = request.get("trace_id")
             ctx = TraceContext(trace_id=trace_id) if trace_id else None
+            before = session.ledger.totals()
             start = time.perf_counter()
             with adopt_trace_context(ctx):
                 with get_tracer().span(
@@ -432,16 +433,15 @@ class PolicyService:
                     device=session.device,
                 ):
                     try:
-                        outcomes.append(("ok", session.handle(request)))
+                        status, value = "ok", session.handle(request)
                     except ProtocolError as exc:
-                        outcomes.append(("error", (exc.kind, exc.message)))
+                        status, value = "error", (exc.kind, exc.message)
                     except Exception as exc:  # noqa: BLE001
-                        outcomes.append(("error", ("internal", repr(exc))))
-            if ledger.enabled and trace_id:
-                ledger.charge(
-                    CostKey(trace_id=trace_id, device=session.device),
-                    wall_seconds=time.perf_counter() - start,
-                )
+                        status, value = "error", ("internal", repr(exc))
+            session.charge(wall_seconds=time.perf_counter() - start)
+            after = session.ledger.totals()
+            cost = {field: after[field] - before[field] for field in COST_FIELDS}
+            outcomes.append((status, value, cost))
         return outcomes
 
     def _drain_queues(self) -> None:
@@ -500,7 +500,6 @@ class PolicyService:
 
     def _global_status(self) -> Dict[str, Any]:
         now = time.monotonic()
-        ledger = get_cost_ledger()
         sessions = {
             device: session.status()
             for device, session in sorted(self.sessions.items())
@@ -524,28 +523,43 @@ class PolicyService:
             "cache_entries": sum(
                 s.get("cache_entries", 0) for s in sessions.values()
             ),
-            "top_costs": (
-                ledger.top(5, by="conflicts") if ledger.enabled else []
-            ),
+            "top_costs": sorted(
+                self._cost_entries(),
+                key=lambda entry: entry["conflicts"],
+                reverse=True,
+            )[:5],
         }
 
+    def _cost_entries(self) -> List[Dict[str, Any]]:
+        """Every device's cost account, as ledger entries.  The scrape
+        thread calls this too: the session list is copied before the
+        loop can add to it, and each ledger locks its own reads."""
+        return [
+            entry
+            for session in list(self.sessions.values())
+            for entry in session.ledger.entries()
+        ]
+
     def _healthz(self) -> Dict[str, Any]:
-        """Cheap liveness summary: no session locks, no ledger scans."""
+        """Cheap liveness summary: no session locks, no ledger reads.
+
+        Unhealthy once shutdown begins or while any device's batch is
+        past the stall threshold (those devices are listed).
+        """
         inflight = sum(
             1 for since in self._busy_since.values() if since is not None
         )
+        stalled = sorted(
+            device for device, flagged in self._stalled.items() if flagged
+        )
         return {
-            "healthy": True,
+            "healthy": not self._shutdown.is_set() and not stalled,
             "version": protocol.PROTOCOL_VERSION,
             "uptime_seconds": time.monotonic() - self._t0,
             "sessions": len(self.sessions),
             "queue_depth": sum(q.qsize() for q in self._queues.values()),
             "inflight": inflight,
-            "stalled_devices": sorted(
-                device
-                for device, stalled in self._stalled.items()
-                if stalled
-            ),
+            "stalled_devices": stalled,
         }
 
     # ------------------------------------------------------------------
@@ -558,12 +572,10 @@ class PolicyService:
 
         def snapshot() -> Dict[str, Any]:
             data = dict(registry.snapshot())
-            ledger = get_cost_ledger()
-            if ledger.enabled:
-                # Cost series ride the same scrape: the response-level
-                # `cost` field and these Prometheus totals are two views
-                # of one ledger, so they reconcile per trace id.
-                data.update(cost_metrics_snapshot(ledger.entries()))
+            # Cost series ride the same scrape, one labeled sample per
+            # device account: a device's series equal the sum of its
+            # replies' `cost` fields.
+            data.update(cost_metrics_snapshot(self._cost_entries()))
             return data
 
         self._metrics_httpd = make_metrics_server(

@@ -16,9 +16,12 @@ enforcement loop (Section IX) needs resident between events:
   bundle tasks, so any composition this device has been in before --
   uninstall/reinstall flips, permission toggles that round-trip --
   answers without solving;
-- a resident PDP whose policy set is refreshed through the existing
-  invalidation protocol (``pdp.policies = ...``) whenever re-synthesis
-  changes it, plus the device's append-only audit trail.
+- a resident compiled PDP whose policy set is refreshed through the
+  existing invalidation protocol (``pdp.policies = ...``) whenever
+  re-synthesis changes it, plus the device's append-only audit trail;
+- the device's one cost account, ``CostKey(device=...)`` in its own
+  :class:`CostLedger`: cache hits and misses, synthesis stats and PDP
+  cache hits land there, and the server adds each request's wall clock.
 
 Synthesis is *lazy*: mutations only mark the session dirty, and the next
 synthesis-backed query (``analyze`` / ``policies`` / ``decide``) pays for
@@ -50,7 +53,7 @@ from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.enforcement import AuditLog, make_pdp
 from repro.enforcement.pdp import deny_all_prompts
 from repro.pipeline.cache import MemoryCache, PipelineCache
-from repro.obs import CostKey, current_trace_id, get_cost_ledger
+from repro.obs import CostKey, CostLedger
 from repro.pipeline.synthesis_key import (
     app_content_key,
     engine_params,
@@ -74,7 +77,6 @@ class SessionConfig:
     minimal: bool = True
     conflict_budget: Optional[int] = None
     time_budget_seconds: Optional[float] = None
-    pdp_backend: str = "compiled"
     #: LRU bound of the per-session synthesis cache (0 = unbounded).
     cache_entries: int = 256
     #: Resident audit window (0 = keep every record).
@@ -175,10 +177,7 @@ class DeviceSession:
         self.analyzer = IncrementalAnalyzer(BundleModel(apps=[]))
         self.audit = AuditLog(window=self.config.audit_window or None)
         self.pdp = make_pdp(
-            [],
-            backend=self.config.pdp_backend,
-            prompt_callback=deny_all_prompts,
-            audit=self.audit,
+            [], prompt_callback=deny_all_prompts, audit=self.audit
         )
         self._lock = threading.RLock()
         self._dirty = True
@@ -189,6 +188,11 @@ class DeviceSession:
         self.syntheses = 0
         self.warm_hits = 0
         self.warm_lookups = 0
+        # The device's one cost account.  The server runs this device's
+        # requests one at a time, so what the account grows by while a
+        # request runs is that request's cost.
+        self.ledger = CostLedger()
+        self.account = CostKey(device=device)
 
     # ------------------------------------------------------------------
     # State access
@@ -211,24 +215,9 @@ class DeviceSession:
     def warm_hit_rate(self) -> float:
         return self.warm_hits / self.warm_lookups if self.warm_lookups else 0.0
 
-    # ------------------------------------------------------------------
-    # Cost attribution
-    # ------------------------------------------------------------------
-    def _cost_key(self, bundle_label: str, signature: str = "") -> CostKey:
-        """This session's ledger account for the ambient request.
-
-        The trace id comes from the context the server's batch thread
-        adopted for the request (empty for direct embedding use without
-        tracing), so the response-level ``cost`` field -- the ledger's
-        totals for that trace id -- reflects exactly the work this
-        request caused.
-        """
-        return CostKey(
-            trace_id=current_trace_id() or "",
-            device=self.device,
-            bundle=bundle_label,
-            signature=signature,
-        )
+    def charge(self, **amounts: float) -> None:
+        """Add ``amounts`` (cost field=value) to the device's account."""
+        self.ledger.charge(self.account, **amounts)
 
     # ------------------------------------------------------------------
     # Mutations: cheap detection delta now, synthesis deferred
@@ -310,7 +299,6 @@ class DeviceSession:
                 "policies": [
                     serialize.policy_to_dict(p) for p in report.policies
                 ],
-                "pdp_backend": self.config.pdp_backend,
             }
 
     def decide(
@@ -321,18 +309,11 @@ class DeviceSession:
             # Decisions must reflect the current composition's policies.
             self._ensure_fresh()
             # The compiled PDP counts decision-cache hits; diffing around
-            # the call attributes them to this request's trace id.
-            hits_before = getattr(self.pdp, "cache_hits", None)
+            # the call charges this decide's hits to the device.
+            hits_before = self.pdp.cache_hits
             decision = self.pdp.decide(event_kind, icc, context=context)
-            ledger = get_cost_ledger()
-            if ledger.enabled and hits_before is not None:
-                delta = getattr(self.pdp, "cache_hits", hits_before)
-                delta -= hits_before
-                if delta:
-                    ledger.charge(
-                        self._cost_key(",".join(self.packages())),
-                        pdp_cache_hits=delta,
-                    )
+            if self.pdp.cache_hits > hits_before:
+                self.charge(pdp_cache_hits=self.pdp.cache_hits - hits_before)
             record = self.audit.records[-1] if self.audit.records else None
             return {
                 "decision": decision.value,
@@ -371,6 +352,7 @@ class DeviceSession:
                     "num_clauses": problem.stats.num_clauses,
                     "learnt": problem.num_learnt,
                 },
+                "cost": self.ledger.totals(),
             }
 
     @staticmethod
@@ -435,21 +417,16 @@ class DeviceSession:
             self.config.engine_params(),
             self.signature_names,
         )
-        ledger = get_cost_ledger()
-        bundle_label = ",".join(sorted(a.package for a in bundle.apps))
         self.warm_lookups += 1
         cached = self.cache.get("synthesis", key)
         if cached is not None:
             self.warm_hits += 1
-            if ledger.enabled:
-                ledger.charge(self._cost_key(bundle_label, "*"), cache_hits=1)
+            self.charge(cache_hits=1)
             return cached
         payload = synthesis_payload(self.engine.run_shared(bundle))
         self.syntheses += 1
-        if ledger.enabled:
-            cost_key = self._cost_key(bundle_label, "*")
-            ledger.charge(cost_key, cache_misses=1)
-            ledger.charge_stats(cost_key, payload["stats"])
+        self.charge(cache_misses=1)
+        self.ledger.charge_stats(self.account, payload["stats"])
         self.cache.put("synthesis", key, payload)
         return payload
 

@@ -176,11 +176,21 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "EXFILTRATED" in out or "allowed" in out
 
+    @pytest.mark.parametrize("command", ["simulate", "serve"])
+    def test_pdp_backend_flag_is_gone(self, command, capsys):
+        """The product always runs the compiled PDP; the linear reference
+        is reachable only through ``make_pdp(backend=...)``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--pdp-backend", "linear"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --pdp-backend" in (
+            capsys.readouterr().err
+        )
+
 
 class TestTraceCommands:
     def test_pipeline_trace_then_render(self, tmp_path, capsys):
         from repro.obs import NULL_METRICS, NULL_TRACER
-        from repro.obs import NULL_COST_LEDGER, set_cost_ledger
         from repro.obs import set_metrics, set_tracer
 
         trace_path = tmp_path / "out.jsonl"
@@ -193,10 +203,9 @@ class TestTraceCommands:
                     "--trace", str(trace_path), "--report", str(report_path),
                 ]
             ) == 0
-        finally:  # the CLI installs a global tracer/registry/ledger: restore
+        finally:  # the CLI installs a global tracer and registry: restore
             set_tracer(NULL_TRACER)
             set_metrics(NULL_METRICS)
-            set_cost_ledger(NULL_COST_LEDGER)
         out = capsys.readouterr().out
         assert "spans written" in out
         assert "cost ledger:" in out
@@ -242,7 +251,6 @@ class TestTraceCommands:
         import logging
 
         from repro.obs import NULL_METRICS, NULL_TRACER
-        from repro.obs import NULL_COST_LEDGER, set_cost_ledger
         from repro.obs import set_metrics, set_tracer
 
         trace_path = tmp_path / "out.jsonl"
@@ -260,7 +268,6 @@ class TestTraceCommands:
         finally:
             set_tracer(NULL_TRACER)
             set_metrics(NULL_METRICS)
-            set_cost_ledger(NULL_COST_LEDGER)
             watch_logger.handlers[:] = handlers
             watch_logger.setLevel(level)
         events = [
@@ -310,15 +317,9 @@ class TestTop:
 
 class TestPipelineFaultHandling:
     def _restore_observability(self):
-        from repro.obs import (
-            NULL_COST_LEDGER,
-            NULL_METRICS,
-            set_cost_ledger,
-            set_metrics,
-        )
+        from repro.obs import NULL_METRICS, set_metrics
 
         set_metrics(NULL_METRICS)
-        set_cost_ledger(NULL_COST_LEDGER)
 
     def test_degraded_run_exits_zero_unless_strict(self, capsys):
         # The default scale (0.01) is the smallest corpus whose synthesis

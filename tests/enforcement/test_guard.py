@@ -53,6 +53,14 @@ class TestInstallLoop:
         ]
         assert "com.example.navigation/RouteFinder" in delivered
 
+    def test_guard_enforces_through_the_compiled_pdp(self):
+        from repro.enforcement import CompiledPolicyDecisionPoint
+
+        guard = DeviceGuard()
+        assert isinstance(guard.pdp, CompiledPolicyDecisionPoint)
+        with pytest.raises(TypeError):
+            DeviceGuard(pdp_backend="linear")
+
     def test_summary_renders(self):
         guard = DeviceGuard()
         guard.install(build_app1())

@@ -148,23 +148,6 @@ class TestBucketedMerge:
         assert h.bounds == (1.0, 2.0)
         assert h.bucket_counts == [0, 1, 0]
 
-    def test_subset_bounds_coarsen_exactly(self, registry):
-        """Bounds that share a subset coarsen onto the intersection; counts
-        sum across whole intervals, so nothing is invented or lost."""
-        mine = registry.histogram("h", bounds=[1.0, 5.0, 10.0])
-        for v in (0.5, 3.0, 7.0, 20.0):
-            mine.observe(v)
-        other = MetricsRegistry()
-        theirs = other.histogram("h", bounds=[5.0, 10.0, 50.0])
-        for v in (2.0, 30.0):
-            theirs.observe(v)
-        registry.merge(other.snapshot())
-        h = registry.histogram("h")
-        assert h.bounds == (5.0, 10.0)
-        # <=5: 0.5,3.0,2.0 | <=10: 7.0 | overflow: 20.0,30.0
-        assert h.bucket_counts == [3, 1, 2]
-        assert sum(h.bucket_counts) == h.count == 6
-
     def test_disjoint_bounds_widen_to_summary(self, registry):
         registry.histogram("h", bounds=[1.0]).observe(0.5)
         other = MetricsRegistry()
@@ -175,6 +158,21 @@ class TestBucketedMerge:
         assert h.bucket_counts == []
         # The streaming summary survives the widening intact.
         assert (h.count, h.total, h.min, h.max) == (2, 5.5, 0.5, 5.0)
+
+    def test_only_a_fresh_local_adopts_bounds(self, registry):
+        """An unbucketed local histogram that has observations widens
+        rather than adopting the incoming bounds, and a bucketed one
+        widens when the incoming side has no bounds."""
+        registry.histogram("observed").observe(0.5)
+        registry.histogram("bucketed", bounds=[1.0]).observe(0.5)
+        other = MetricsRegistry()
+        other.histogram("observed", bounds=[1.0]).observe(2.0)
+        other.histogram("bucketed").observe(2.0)
+        registry.merge(other.snapshot())
+        for name in ("observed", "bucketed"):
+            h = registry.histogram(name)
+            assert (h.bounds, h.bucket_counts) == ((), []), name
+            assert (h.count, h.total, h.min, h.max) == (2, 2.5, 0.5, 2.0)
 
     def test_merge_never_raises_on_any_bounds_combination(self, registry):
         """Totality: merging any pairing of bucketed/unbucketed histograms

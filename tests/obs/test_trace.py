@@ -179,18 +179,6 @@ class TestRoundTrip:
         assert by_name["doomed"].start > 0
         assert by_name["doomed"].pid == os.getpid()
 
-    def test_begin_events_can_be_disabled(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        t = JsonlTracer(str(path), begin_events=False)
-        try:
-            with t.span("a"):
-                pass
-        finally:
-            t.close()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        assert "event" not in json.loads(lines[0])
-
     def test_enable_tracing_installs_without_touching_env(self, tmp_path):
         path = tmp_path / "t.jsonl"
         environ = dict(os.environ)

@@ -10,19 +10,21 @@ import pathlib
 
 import pytest
 
-from repro.benchsuite.running_example import build_app1, build_app2
+from repro.benchsuite.running_example import (
+    build_app1,
+    build_app2,
+    build_malicious_app,
+)
 from repro.obs import (
-    NULL_COST_LEDGER,
+    COST_FIELDS,
     NULL_METRICS,
     NULL_TRACER,
-    CostLedger,
     InMemoryTracer,
     JsonlTracer,
     MetricsRegistry,
     ProgressSnapshot,
     enable_tracing,
     read_events,
-    set_cost_ledger,
     set_metrics,
     set_tracer,
 )
@@ -30,6 +32,7 @@ from repro.obs.trace import read_trace
 from repro.pipeline import (
     AnalysisPipeline,
     NullCache,
+    PipelineCache,
     RunReport,
     attach_observability,
 )
@@ -190,17 +193,11 @@ class TestTracedPipelineRun:
         import json
 
         apks = [build_app1(), build_app2()]
-        ledger = CostLedger()
-        prev_ledger = set_cost_ledger(ledger)
-        try:
-            observed_result = AnalysisPipeline(
-                jobs=1, scenarios_per_signature=2
-            ).run([apks])
-        finally:
-            set_cost_ledger(prev_ledger)
+        observed_result = AnalysisPipeline(
+            jobs=1, scenarios_per_signature=2
+        ).run([apks])
         set_tracer(NULL_TRACER)
         set_metrics(NULL_METRICS)
-        set_cost_ledger(NULL_COST_LEDGER)
         plain_result = AnalysisPipeline(
             jobs=1, scenarios_per_signature=2
         ).run([apks])
@@ -208,7 +205,95 @@ class TestTracedPipelineRun:
             observed_result.findings_dict(), sort_keys=True
         ) == json.dumps(plain_result.findings_dict(), sort_keys=True)
         # Attribution actually happened -- identity wasn't vacuous.
-        assert ledger.totals()["cache_misses"] > 0
+        cost = observed_result.run_report.cost
+        assert sum(entry["cache_misses"] for entry in cost) > 0
+
+
+class TestRunCostLedger:
+    """Each run charges a ledger of its own, and serial and pooled runs
+    attribute identically."""
+
+    @staticmethod
+    def _run(jobs, cache_dir):
+        bundles = [[build_app1(), build_app2()], [build_malicious_app()]]
+        return AnalysisPipeline(
+            jobs=jobs,
+            cache=PipelineCache(cache_dir),
+            scenarios_per_signature=2,
+        ).run(bundles).run_report.cost
+
+    @staticmethod
+    def _split(rows):
+        """(account keys in order, every meter but wall_seconds)."""
+        keys = [
+            (r["trace_id"], r["device"], r["bundle"], r["signature"])
+            for r in rows
+        ]
+        meters = [
+            {m: r[m] for m in COST_FIELDS if m != "wall_seconds"}
+            for r in rows
+        ]
+        return keys, meters
+
+    def test_serial_and_pooled_ledgers_agree_then_warm_run_only_hits(
+        self, tmp_path
+    ):
+        serial = self._run(1, tmp_path / "serial")
+        pooled = self._run(2, tmp_path / "pooled")
+        assert self._split(serial) == self._split(pooled)
+        # Three extraction accounts, then one per bundle (signature "*").
+        assert [r["signature"] for r in serial] == ["", "", "", "*", "*"]
+        assert all(r["cache_misses"] == 1 for r in serial)
+        assert sum(r["clauses_added"] for r in serial) > 0
+        assert sum(r["decisions"] for r in serial) > 0
+
+        # A warm rerun's ledger is its own: the same accounts, each
+        # charged one cache hit and nothing else.
+        warm = self._run(2, tmp_path / "pooled")
+        assert self._split(warm)[0] == self._split(serial)[0]
+        for row in warm:
+            charged = {m for m in COST_FIELDS if row[m]}
+            assert charged == {"cache_hits"} and row["cache_hits"] == 1
+
+
+    def test_extract_apps_alone_charges_a_ledger_of_its_own(self, tmp_path):
+        apks = [build_app1(), build_app2()]
+        pipeline = AnalysisPipeline(
+            jobs=1, cache=PipelineCache(tmp_path), scenarios_per_signature=2
+        )
+        cold, warm = RunReport(), RunReport()
+        pipeline.extract_apps(apks, report=cold)
+        pipeline.extract_apps(apks, report=warm)
+        packages = [apk.package for apk in apks]
+        assert [r["bundle"] for r in cold.cost] == packages
+        assert [r["bundle"] for r in warm.cost] == packages
+        # The warm call's ledger does not carry the cold call's misses.
+        assert [r["cache_misses"] for r in cold.cost] == [1, 1]
+        assert [r["cache_hits"] for r in cold.cost] == [0, 0]
+        assert [r["cache_misses"] for r in warm.cost] == [0, 0]
+        assert [r["cache_hits"] for r in warm.cost] == [1, 1]
+
+    def test_analyze_bundles_alone_charges_a_ledger_of_its_own(self):
+        from repro.core.model import BundleModel
+
+        pipeline = AnalysisPipeline(jobs=1, scenarios_per_signature=2)
+        extraction = RunReport()
+        models = pipeline.extract_apps(
+            [build_app1(), build_app2()], report=extraction
+        )
+        result = pipeline.analyze_bundles([BundleModel(apps=models)])
+        cost = result.run_report.cost
+        # Synthesis accounts only: the extraction charged its own ledger.
+        assert [r["signature"] for r in cost] == ["*"]
+        assert cost[0]["cache_misses"] == 1
+        assert cost[0]["clauses_added"] > 0
+        assert [r["signature"] for r in extraction.cost] == ["", ""]
+
+    def test_attach_observability_keeps_the_runs_cost(self):
+        rows = [{"trace_id": "t", "bundle": "b", "conflicts": 3.0}]
+        report = RunReport(cost=list(rows))
+        attach_observability(report)
+        assert report.cost == rows
 
 
 class TestTraceIntegrityHeartbeats:

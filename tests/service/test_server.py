@@ -8,7 +8,7 @@ import pytest
 
 from repro.benchsuite.running_example import build_app1, build_app2
 from repro.core import serialize
-from repro.obs import enable_metrics
+from repro.obs import COST_FIELDS, enable_metrics
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import ProtocolError
@@ -116,6 +116,17 @@ class TestDaemonTcp:
         assert service._thread is None
         assert not ready.exists()
 
+    def test_stopping_after_a_client_shutdown_is_a_no_op(self):
+        """Leaving ``background()`` after the daemon already stopped on a
+        client's ``shutdown`` op must not touch the closed loop."""
+        service = PolicyService(make_config())
+        with service.background():
+            with ServiceClient(*service.address) as client:
+                assert client.shutdown() == {"stopping": True}
+            service._thread.join(timeout=30)
+            assert not service._thread.is_alive()
+        assert service._thread is None
+
     def test_error_responses_keep_connection_open(self, app_dicts):
         service = PolicyService(make_config())
         with service.background():
@@ -187,10 +198,10 @@ class TestTracingAndCost:
                     client.request("ping", trace_id="")
                 assert exc.value.kind == "bad_request"
 
-    def test_device_ops_cost_reconciles_with_prometheus(self, app_dicts):
-        """The response's cost object and the scraped repro_cost_* series
-        are two views of one ledger: per-trace totals must match."""
-        service = PolicyService(make_config(metrics_port=0))
+    def test_reused_trace_id_reports_each_requests_own_cost(self, app_dicts):
+        """A reply's cost is what its own request charged, even when the
+        client sends several requests under one trace id."""
+        service = PolicyService(make_config())
         with service.background():
             host, port = service.address
             with ServiceClient(host, port) as client:
@@ -200,23 +211,70 @@ class TestTracingAndCost:
                         "install", device="dev1", app=app, trace_id=tid
                     )
                     assert client.last_trace_id == tid
-                    assert client.last_cost is not None
+                    assert client.last_cost["wall_seconds"] > 0
+                    assert client.last_cost["cache_misses"] == 0
                 client.request("analyze", device="dev1", trace_id=tid)
-                cost = client.last_cost
-                assert cost["wall_seconds"] > 0
-                assert cost["cache_misses"] >= 1  # cold synthesis attributed
-                assert cost["clauses_added"] > 0
+                first = client.last_cost
+                assert first["cache_misses"] == 1  # the cold synthesis
+                assert first["clauses_added"] > 0
+                client.request("analyze", device="dev1", trace_id=tid)
+                second = client.last_cost
+                # Nothing changed, so the repeat pays only its wall clock.
+                assert second["wall_seconds"] > 0
+                for meter in COST_FIELDS:
+                    if meter != "wall_seconds":
+                        assert second[meter] == 0, meter
 
+    def test_device_reply_costs_sum_to_status_and_scrape(self, app_dicts):
+        """Replies, ``status`` and ``/metrics`` are three views of one
+        device account: over a stream in which every request succeeds,
+        the replies' costs add up to the other two."""
+        service = PolicyService(make_config(metrics_port=0))
+        with service.background():
+            host, port = service.address
+            with ServiceClient(host, port) as client:
+                summed = dict.fromkeys(COST_FIELDS, 0.0)
+
+                def device_op(op, **operands):
+                    client.request(op, device="dev1", **operands)
+                    for meter in COST_FIELDS:
+                        summed[meter] += client.last_cost[meter]
+
+                packages = list(app_dicts)
+                for app in app_dicts.values():
+                    device_op("install", app=app)
+                device_op("analyze")
+                device_op("uninstall", package=packages[1])
+                device_op("analyze")
+                device_op("install", app=app_dicts[packages[1]])
+                device_op("analyze")  # a warm hit
+                probe = {"sender": "probe.app/Main"}
+                device_op("decide", kind="icc_send", event=probe)
+                device_op("decide", kind="icc_send", event=probe)
+                # Another device's traffic stays out of dev1's account.
+                client.install("dev2", app_dicts[packages[0]])
+                assert summed["cache_misses"] == 2
+                assert summed["cache_hits"] == 1
+                assert summed["pdp_cache_hits"] == 1
+                assert summed["clauses_added"] > 0
+
+                status = client.status()
+                account = status["sessions"]["dev1"]["cost"]
                 url = "http://{}:{}/metrics".format(*service.metrics_address)
                 body = urllib.request.urlopen(url).read().decode("utf-8")
-                for meter in ("wall_seconds", "clauses_added"):
-                    scraped = sum(
-                        float(line.rsplit(" ", 1)[1])
-                        for line in body.splitlines()
-                        if line.startswith(f"repro_cost_{meter}_total{{")
-                        and f'trace_id="{tid}"' in line
-                    )
-                    assert scraped == pytest.approx(cost[meter]), meter
+        for meter in COST_FIELDS:
+            scraped = [
+                float(line.rsplit(" ", 1)[1])
+                for line in body.splitlines()
+                if line.startswith(f"repro_cost_{meter}_total{{")
+                and 'device="dev1"' in line
+            ]
+            if meter == "wall_seconds":
+                assert account[meter] == pytest.approx(summed[meter])
+                assert scraped == [pytest.approx(summed[meter])]
+            else:  # integer meters reconcile exactly
+                assert account[meter] == summed[meter], meter
+                assert sum(scraped) == summed[meter], meter
 
     def test_warm_repeat_charges_cache_hit_not_solver_work(self, app_dicts):
         service = PolicyService(make_config())
@@ -264,6 +322,110 @@ class TestTracingAndCost:
                 top = status["top_costs"]
                 assert top and top[0]["device"] == "dev1"
                 assert top[0]["wall_seconds"] > 0
+                assert status["sessions"]["dev1"]["cost"] == {
+                    meter: top[0][meter] for meter in COST_FIELDS
+                }
+
+    def test_healthz_is_false_while_a_batch_is_stalled(
+        self, app_dicts, monkeypatch
+    ):
+        """``healthy`` follows the stall flags: a device's batch held past
+        the stall threshold makes the daemon unhealthy and lists the
+        device; once the batch finishes, the daemon is healthy again."""
+        import threading
+        import time
+
+        from repro.service.session import DeviceSession
+
+        entered, release = threading.Event(), threading.Event()
+        original = DeviceSession.handle
+
+        def blocking_handle(self, request):
+            entered.set()
+            release.wait(timeout=30)
+            return original(self, request)
+
+        monkeypatch.setattr(DeviceSession, "handle", blocking_handle)
+        first = next(iter(app_dicts.values()))
+        replies = []
+        service = PolicyService(
+            make_config(stall_seconds=0.05, heartbeat_seconds=0.05)
+        )
+        with service.background():
+            host, port = service.address
+
+            def install():
+                with ServiceClient(host, port) as client:
+                    replies.append(client.install("dev1", first))
+
+            with ServiceClient(host, port) as probe:
+                assert probe.healthz()["healthy"] is True
+                blocked = threading.Thread(target=install)
+                blocked.start()
+                try:
+                    assert entered.wait(timeout=30)
+                    deadline = time.monotonic() + 30
+                    health = probe.healthz()
+                    while health["healthy"] and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                        health = probe.healthz()
+                    assert health["healthy"] is False
+                    assert health["stalled_devices"] == ["dev1"]
+                finally:
+                    release.set()
+                    blocked.join(timeout=30)
+                assert replies[0]["installed"] == [first["package"]]
+                health = probe.healthz()
+                assert health["healthy"] is True
+                assert health["stalled_devices"] == []
+
+
+    def test_healthz_is_false_once_shutdown_begins(self):
+        """A healthz answered after shutdown has begun reports unhealthy.
+        The shutdown flag is set and healthz answered in one step of the
+        service's own loop, so the drain cannot close the daemon first."""
+        import asyncio
+
+        async def healthz_as_shutdown_begins():
+            before, _ = await service._respond(b'{"op": "healthz"}\n')
+            service._shutdown.set()
+            after, _ = await service._respond(b'{"op": "healthz"}\n')
+            return before["result"], after["result"]
+
+        service = PolicyService(make_config())
+        with service.background():
+            before, after = asyncio.run_coroutine_threadsafe(
+                healthz_as_shutdown_begins(), service._loop
+            ).result(timeout=30)
+        assert before["healthy"] is True
+        assert after["healthy"] is False
+        assert after["stalled_devices"] == []
+
+    def test_top_costs_list_one_account_per_device(self, app_dicts):
+        """``top_costs`` ranks device accounts by conflicts, one entry per
+        device, each keyed by the device alone."""
+        service = PolicyService(make_config())
+        with service.background():
+            host, port = service.address
+            with ServiceClient(host, port) as client:
+                for app in app_dicts.values():
+                    client.install("dev1", app)
+                client.analyze("dev1")
+                client.analyze("dev1")
+                client.install("dev2", next(iter(app_dicts.values())))
+                status = client.status()
+        top = status["top_costs"]
+        assert sorted(entry["device"] for entry in top) == ["dev1", "dev2"]
+        conflicts = [entry["conflicts"] for entry in top]
+        assert conflicts == sorted(conflicts, reverse=True)
+        for entry in top:
+            assert (entry["trace_id"], entry["bundle"], entry["signature"]) == (
+                "", "", ""
+            )
+            account = status["sessions"][entry["device"]]["cost"]
+            assert {meter: entry[meter] for meter in COST_FIELDS} == account
+        assert status["sessions"]["dev1"]["cost"]["cache_misses"] == 1
+        assert status["sessions"]["dev2"]["cost"]["cache_misses"] == 0
 
 
 class TestDaemonUnixSocket:

@@ -3,13 +3,13 @@
 Replays seeded install/update/uninstall/grant/revoke streams through live
 sessions and asserts every synthesis-backed answer -- scenarios, policy
 sets, vulnerability findings -- is byte-identical to a fresh cold run of
-the same composition, on both PDP backends.  The running-example stream
+the same composition.  The running-example stream
 runs on :class:`tests.rup.CheckedSolver` (the ``checked_solver`` seam),
 so every "no further scenario" answer behind its warm and cold results
 is also proof-checked.
 Audit sequences are compared the same way: the session's decide stream
-must equal a fresh PDP replaying the identical events under the same
-policies.  One default-configuration stream also goes through the real
+(on its resident compiled PDP) must equal a fresh PDP of either backend
+replaying the identical events under the same policies.  One default-configuration stream also goes through the real
 socket daemon, so the wire path is covered too.
 """
 
@@ -139,13 +139,9 @@ def assert_stream_differential(session, stream, config):
         )
 
 
-PDP_BACKENDS = ("compiled", "linear")
-
-
 class TestStreamDifferential:
-    @pytest.mark.parametrize("pdp", PDP_BACKENDS)
-    def test_running_example_stream(self, apps, pdp, checked_solver):
-        config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
+    def test_running_example_stream(self, apps, checked_solver):
+        config = SessionConfig(scenarios_per_signature=2)
         session = DeviceSession("diff", config=config)
         stream = seeded_stream(apps, seed=7, events=10)
         assert_stream_differential(session, stream, config)
@@ -160,29 +156,14 @@ class TestStreamDifferential:
         stream = seeded_stream(corpus_apps, seed=23, events=8)
         assert_stream_differential(session, stream, config)
 
-    @pytest.mark.parametrize("pdp", PDP_BACKENDS)
-    def test_policy_sets_identical(self, apps, pdp):
-        config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
+    def test_policy_sets_identical(self, apps):
+        config = SessionConfig(scenarios_per_signature=2)
         session = DeviceSession("pol", config=config)
         for app in apps:
             session.install(serialize.app_to_dict(app))
         warm = session.policies()["policies"]
         cold = cold_analysis(apps, config)["policies"]
         assert canon(warm) == canon(cold)
-
-
-class TestBackendAgreement:
-    def test_both_pdp_backends_agree_on_findings(self, apps):
-        """The PDP backend never changes results: both produce one
-        identical findings bundle."""
-        bundles = set()
-        for pdp in PDP_BACKENDS:
-            config = SessionConfig(scenarios_per_signature=2, pdp_backend=pdp)
-            session = DeviceSession(pdp, config=config)
-            for app in apps:
-                session.install(serialize.app_to_dict(app))
-            bundles.add(canon(session.analyze()))
-        assert len(bundles) == 1
 
 
 class TestAuditDifferential:
@@ -206,9 +187,7 @@ class TestAuditDifferential:
 
     @pytest.mark.parametrize("pdp_backend", ["compiled", "linear"])
     def test_session_audit_equals_cold_pdp_replay(self, apps, pdp_backend):
-        config = SessionConfig(
-            scenarios_per_signature=2, pdp_backend=pdp_backend
-        )
+        config = SessionConfig(scenarios_per_signature=2)
         session = DeviceSession("audit", config=config)
         for app in apps:
             session.install(serialize.app_to_dict(app))
@@ -217,8 +196,9 @@ class TestAuditDifferential:
             session.decide(kind, event)
         warm_trail = session.audit_trail()
 
-        # Cold replay: a fresh PDP with the cold run's policies sees the
-        # exact same events; its audit log must match record for record.
+        # Cold replay: a fresh PDP of either backend with the cold run's
+        # policies sees the exact same events; its audit log must match
+        # the session's compiled one record for record.
         cold = cold_analysis(apps, config)
         audit = AuditLog()
         pdp = make_pdp(

@@ -11,6 +11,8 @@ from repro.benchsuite.running_example import (
 )
 from repro.core import serialize
 from repro.core.separ import Separ
+from repro.enforcement import CompiledPolicyDecisionPoint
+from repro.obs import COST_FIELDS
 from repro.pipeline import AnalysisPipeline
 from repro.pipeline.cache import MemoryCache
 from repro.service.protocol import ProtocolError
@@ -201,6 +203,79 @@ class TestQueries:
         trail = session.audit_trail()
         assert [r["seq"] for r in trail["records"]] == [0, 1, 2]
         assert trail["summary"]["decisions"] == 3
+
+
+class TestCostAccount:
+    """Each session charges one ``CostKey(device=...)`` account, and
+    ``status`` shows its totals."""
+
+    @staticmethod
+    def _delta(before, after):
+        return {
+            meter: after[meter] - before[meter]
+            for meter in COST_FIELDS
+            if after[meter] != before[meter]
+        }
+
+    def test_cold_synthesis_charges_the_device_account(
+        self, app_dicts, apps
+    ):
+        session = DeviceSession("d", config=CONFIG)
+        assert session.status()["cost"] == dict.fromkeys(COST_FIELDS, 0.0)
+        for app in apps[:2]:
+            session.install(app_dicts[app.package])
+        session.analyze()
+        cost = session.status()["cost"]
+        assert cost["cache_misses"] == 1
+        assert cost["cache_hits"] == 0
+        assert cost["clauses_added"] > 0
+        assert cost["decisions"] > 0
+        # One account, keyed by the device alone.
+        (entry,) = session.ledger.entries()
+        assert (
+            entry["trace_id"], entry["device"], entry["bundle"],
+            entry["signature"],
+        ) == ("", "d", "", "")
+        assert {m: entry[m] for m in COST_FIELDS} == cost
+
+    def test_warm_recomposition_charges_only_a_cache_hit(
+        self, app_dicts, apps
+    ):
+        session = DeviceSession("d", config=CONFIG)
+        for app in apps[:2]:
+            session.install(app_dicts[app.package])
+        session.analyze()
+        session.uninstall(apps[1].package)
+        session.analyze()
+        session.install(app_dicts[apps[1].package])
+        before = session.status()["cost"]
+        session.analyze()
+        assert self._delta(before, session.status()["cost"]) == {
+            "cache_hits": 1.0
+        }
+        assert len(session.ledger) == 1
+
+    def test_repeated_decide_charges_pdp_cache_hits(self, app_dicts, apps):
+        session = DeviceSession("d", config=CONFIG)
+        for app in apps[:2]:
+            session.install(app_dicts[app.package])
+        session.policies()
+        event = {"sender": "probe.app/Main"}
+        before = session.status()["cost"]
+        session.decide("icc_send", event)
+        assert self._delta(before, session.status()["cost"]) == {}
+        session.decide("icc_send", event)
+        assert self._delta(before, session.status()["cost"]) == {
+            "pdp_cache_hits": 1.0
+        }
+
+    def test_resident_pdp_is_compiled(self, app_dicts, apps):
+        session = DeviceSession("d", config=CONFIG)
+        session.install(app_dicts[apps[0].package])
+        assert isinstance(session.pdp, CompiledPolicyDecisionPoint)
+        assert "pdp_backend" not in session.policies()
+        with pytest.raises(TypeError):
+            SessionConfig(pdp_backend="linear")
 
 
 class TestHandleDispatch:
