@@ -12,12 +12,26 @@ paper's Alloy meta-model):
 - **data test** -- the Intent's data scheme and MIME type must match the
   filter's declared schemes/types; an Intent with no data passes only
   filters declaring no data, and vice versa.
+
+:func:`action_buckets` indexes components by the actions their filters
+list, the way AOSP's ``IntentResolver`` does: the runtime's device and the
+model's ICC graph look an Intent's candidates up there instead of scanning
+every component, and the matching rule still decides each candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TypeVar,
+)
 
 from repro.android.resources import Resource
 
@@ -172,6 +186,32 @@ def resolve_intent(
                 matches.append(component)
                 break
     return matches
+
+
+_C = TypeVar("_C")
+
+
+def action_buckets(components: Iterable[_C]) -> Dict[Optional[str], List[_C]]:
+    """Bucket ``components`` by the actions their ``intent_filters`` list.
+
+    ``buckets[action]`` holds every component with a filter listing
+    ``action``; ``buckets[None]`` holds every component with at least one
+    action-bearing filter, the candidates of an Intent without an action
+    (which passes the action test of any such filter).  Each bucket keeps
+    the input order.  A bucket only narrows the candidates: a filter
+    listing the action may still fail the category or data test, so the
+    caller's matching rule decides each one."""
+    buckets: Dict[Optional[str], List[_C]] = {}
+    for component in components:
+        actions: Set[str] = set()
+        for filt in component.intent_filters:
+            actions.update(filt.actions)
+        if not actions:
+            continue
+        buckets.setdefault(None, []).append(component)
+        for action in actions:
+            buckets.setdefault(action, []).append(component)
+    return buckets
 
 
 def app_of(component_ref: str) -> str:

@@ -7,7 +7,7 @@ up for debate, so they cost the SAT solver nothing.  Only the postulated
 malicious elements added by a vulnerability signature remain free.
 
 :class:`BundleSpec` owns one framework spec plus the embedded bundle and
-provides the lookups vulnerability signatures and the policy deriver need.
+provides the lookups vulnerability signatures need.
 """
 
 from __future__ import annotations
@@ -251,33 +251,3 @@ class BundleSpec:
                 s[len("scheme:"):] for s in values(fw.flt_data_schemes)
             ),
         }
-
-    def matching_bundle_receivers(self, intent: IntentModel) -> List[str]:
-        """Bundle components whose declared filters match an implicit Intent
-        (used to compute the allow-list of hijack policies)."""
-        from repro.android.intents import Intent as RtIntent, filter_matches
-        from repro.android.intents import IntentFilter as RtFilter
-
-        rt_intent = RtIntent(
-            sender=intent.sender,
-            action=intent.action,
-            categories=intent.categories,
-            data_type=intent.data_type,
-            data_scheme=intent.data_scheme,
-        )
-        matches = []
-        for comp in self.bundle.all_components():
-            same_app = comp.app == intent.sender.split("/", 1)[0]
-            if not comp.exported and not same_app:
-                continue
-            for filt in comp.intent_filters:
-                rt_filter = RtFilter(
-                    actions=frozenset(filt.actions),
-                    categories=frozenset(filt.categories),
-                    data_types=frozenset(filt.data_types),
-                    data_schemes=frozenset(filt.data_schemes),
-                )
-                if filter_matches(rt_intent, rt_filter):
-                    matches.append(comp.name)
-                    break
-        return matches

@@ -13,22 +13,32 @@ benchmark uses it to sweep the full corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.android.components import ComponentKind
 from repro.android.resources import Resource, SINKS, SOURCES
+from repro.core.icc_graph import (
+    BundleIndex,
+    provider_read_edges,
+    provider_write_edges,
+    transitive_receivers,
+)
 from repro.core.model import BundleModel, ComponentModel, IntentModel
 
 SENSITIVE_SOURCES = SOURCES - {Resource.ICC}
 PUBLIC_SINKS = SINKS - {Resource.ICC}
 
 
-def _forward_closure(edges: Set[tuple], start: str) -> Set[str]:
-    """Nodes reachable from ``start`` over >= 1 edge hops (the strict
-    transitive closure the chain signatures take)."""
+def _adjacency(edges: Set[Tuple[str, str]]) -> Dict[str, Set[str]]:
     adjacency: Dict[str, Set[str]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, set()).add(dst)
+    return adjacency
+
+
+def _forward_closure(adjacency: Dict[str, Set[str]], start: str) -> Set[str]:
+    """Nodes reachable from ``start`` over >= 1 edge hops (the strict
+    transitive closure the chain signatures take)."""
     seen: Set[str] = set()
     stack = list(adjacency.get(start, ()))
     while stack:
@@ -84,9 +94,11 @@ class SeparDetector:
 
     def detect(self, bundle: BundleModel) -> DetectionReport:
         report = DetectionReport()
-        components = bundle.all_components()
+        index = BundleIndex(bundle)
+        components = index.components
         intents = bundle.all_intents()
-        by_name = {c.name: c for c in components}
+        by_name = index.by_name
+        relay_edges = index.relay_edges()
 
         for intent in intents:
             self._check_hijack(intent, report)
@@ -94,10 +106,10 @@ class SeparDetector:
             self._check_launch(comp, report)
             self._check_escalation(comp, report)
             self._check_dynamic_receiver(comp, report)
-        self._check_leaks(bundle, components, intents, by_name, report)
-        self._check_redelegation(bundle, components, by_name, report)
+        self._check_leaks(bundle, index, intents, relay_edges, report)
+        self._check_redelegation(bundle, index, report)
         self._check_provider_leak(bundle, by_name, report)
-        self._check_collusion(bundle, components, intents, by_name, report)
+        self._check_collusion(bundle, index, intents, relay_edges, report)
         return report
 
     # ------------------------------------------------------------------
@@ -150,16 +162,17 @@ class SeparDetector:
             return
         report.add("privilege_escalation", comp.name)
 
+    @staticmethod
     def _check_leaks(
-        self,
         bundle: BundleModel,
-        components: List[ComponentModel],
+        index: BundleIndex,
         intents: List[IntentModel],
-        by_name: Dict[str, ComponentModel],
+        relay_edges: Set[Tuple[str, str]],
         report: DetectionReport,
     ) -> None:
         """Sensitive payload delivered to a component that relays its ICC
         input to a public sink."""
+        components, by_name = index.components, index.by_name
         relays = [
             c
             for c in components
@@ -178,20 +191,14 @@ class SeparDetector:
             if sender is None:
                 continue
             first_hops = {
-                c.name
-                for c in components
-                if c.name != intent.sender
-                and c.reachable
-                and self._deliverable(intent, sender, c)
+                c.name for c in index.receivers(intent, sender) if c.reachable
             }
             if not first_hops:
                 continue
             # Transitive propagation: the payload keeps flowing through
             # ICC->ICC relays (the paper's OwnCloud chain) until it hits a
             # component that drains ICC input into a public sink.
-            from repro.core.icc_graph import transitive_receivers
-
-            reached = transitive_receivers(bundle, first_hops)
+            reached = transitive_receivers(relay_edges, first_hops)
             for name in reached & relay_names:
                 if name == intent.sender:
                     continue
@@ -250,20 +257,17 @@ class SeparDetector:
 
     @staticmethod
     def _check_redelegation(
-        bundle: BundleModel,
-        components: List[ComponentModel],
-        by_name: Dict[str, ComponentModel],
-        report: DetectionReport,
+        bundle: BundleModel, index: BundleIndex, report: DetectionReport
     ) -> None:
         """Exported entry reaching, over >= 1 ICC call hops, a terminal
         that exercises its app's dangerous permission with neither end
         enforcing it."""
         from repro.android.permissions import ProtectionLevel, protection_level
-        from repro.core.icc_graph import call_edges
 
-        edges = call_edges(bundle)
+        edges = index.call_edges()
         if not edges:
             return
+        components = index.components
         app_perms = {app.package: app.uses_permissions for app in bundle.apps}
         terminals: Dict[str, Set[str]] = {}
         for comp in components:
@@ -281,10 +285,11 @@ class SeparDetector:
                 terminals[comp.name] = delegated
         if not terminals:
             return
+        adjacency = _adjacency(edges)
         for entry in components:
             if not entry.exported or not entry.reachable:
                 continue
-            reached = _forward_closure(edges, entry.name)
+            reached = _forward_closure(adjacency, entry.name)
             for name in reached:
                 if name == entry.name:
                     continue
@@ -304,7 +309,6 @@ class SeparDetector:
     ) -> None:
         """Sensitive write into a provider that escapes via the provider's
         own public sink or a foreign reader's."""
-        from repro.core.icc_graph import provider_read_edges, provider_write_edges
 
         def drains(comp: ComponentModel) -> bool:
             return comp.reachable and any(
@@ -335,23 +339,20 @@ class SeparDetector:
                 report.add("provider_leak", provider.name)
                 report.add("provider_leak", reader.name)
 
+    @staticmethod
     def _check_collusion(
-        self,
         bundle: BundleModel,
-        components: List[ComponentModel],
+        index: BundleIndex,
         intents: List[IntentModel],
-        by_name: Dict[str, ComponentModel],
+        relay_edges: Set[Tuple[str, str]],
         report: DetectionReport,
     ) -> None:
         """Sensitive payload crossing three apps: source -> exported
         intermediary -> (relay chain) -> draining sink component."""
-        from repro.core.icc_graph import relay_edges
-
-        if len(bundle.apps) < 3:
+        if len(bundle.apps) < 3 or not relay_edges:
             return
-        edges = relay_edges(bundle)
-        if not edges:
-            return
+        components, by_name = index.components, index.by_name
+        adjacency = _adjacency(relay_edges)
         drains = {
             c.name
             for c in components
@@ -367,14 +368,12 @@ class SeparDetector:
             sender = by_name.get(intent.sender)
             if sender is None or not sender.reachable:
                 continue
-            for mid in components:
-                if mid.name == sender.name or mid.app == sender.app:
+            for mid in index.receivers(intent, sender):
+                if mid.app == sender.app:
                     continue
                 if not mid.exported or not mid.reachable:
                     continue
-                if not self._deliverable(intent, sender, mid):
-                    continue
-                for dst_name in _forward_closure(edges, mid.name):
+                for dst_name in _forward_closure(adjacency, mid.name):
                     dst = by_name.get(dst_name)
                     if dst is None or dst_name not in drains:
                         continue
@@ -383,38 +382,3 @@ class SeparDetector:
                     report.add("app_collusion", sender.name)
                     report.add("app_collusion", mid.name)
                     report.add("app_collusion", dst.name)
-
-    @staticmethod
-    def _deliverable(
-        intent: IntentModel, sender: ComponentModel, receiver: ComponentModel
-    ) -> bool:
-        same_app = sender.app == receiver.app
-        if not receiver.exported and not same_app:
-            return False
-        if intent.passive:
-            return receiver.name in intent.passive_targets
-        if intent.explicit:
-            return intent.target == receiver.name
-        from repro.android.intents import Intent as RtIntent
-        from repro.android.intents import IntentFilter as RtFilter
-        from repro.android.intents import filter_matches
-
-        rt_intent = RtIntent(
-            sender=intent.sender,
-            action=intent.action,
-            categories=intent.categories,
-            data_type=intent.data_type,
-            data_scheme=intent.data_scheme,
-        )
-        for filt in receiver.intent_filters:
-            if not filt.actions:
-                continue
-            rt_filter = RtFilter(
-                actions=frozenset(filt.actions),
-                categories=frozenset(filt.categories),
-                data_types=frozenset(filt.data_types),
-                data_schemes=frozenset(filt.data_schemes),
-            )
-            if filter_matches(rt_intent, rt_filter):
-                return True
-        return False

@@ -1,10 +1,17 @@
 """The bundle's ICC delivery, call, relay, and provider-access graphs.
 
-Shared between the concrete detector and the formal signatures:
+Shared between the concrete detector, the formal signatures and policy
+derivation:
 
 - :func:`deliverable` -- may this Intent reach this component, under the
   framework's addressing rules (explicit target, passive result channel,
   or implicit filter matching with the export discipline)?
+- :class:`BundleIndex` -- the bundle's components indexed for addressing,
+  built once per call: an implicit Intent's candidates are the components
+  whose filters list its action (:func:`~repro.android.intents.action_buckets`),
+  an explicit or passive Intent's are its named targets.  The index only
+  narrows; :func:`deliverable` decides every candidate, so each graph
+  below is the one a scan of every (Intent, component) pair would give.
 - :func:`call_edges` -- every ICC call edge: (c1, c2) when some Intent of
   c1 can reach c2 at all.  Re-delegation chains of arbitrary length are
   walks in this graph (the permission-redelegation signature takes its
@@ -21,12 +28,12 @@ Shared between the concrete detector and the formal signatures:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.android.components import ComponentKind
 from repro.android.intents import Intent as RtIntent
 from repro.android.intents import IntentFilter as RtFilter
-from repro.android.intents import filter_matches
+from repro.android.intents import action_buckets, filter_matches
 from repro.android.resources import Resource, SOURCES
 from repro.core.model import BundleModel, ComponentModel, IntentModel
 
@@ -63,25 +70,83 @@ def deliverable(
     return False
 
 
+class BundleIndex:
+    """One bundle's components, indexed for Intent addressing."""
+
+    def __init__(self, bundle: BundleModel) -> None:
+        self.bundle = bundle
+        self.components = bundle.all_components()
+        self.by_name = {c.name: c for c in self.components}
+        self._by_action = action_buckets(self.components)
+
+    def candidates(self, intent: IntentModel) -> List[ComponentModel]:
+        """Every component :func:`deliverable` may accept for ``intent``,
+        in bundle order: a passive Intent's registered targets, an explicit
+        Intent's target, or the components with a filter listing an
+        implicit Intent's action (any action, when it has none)."""
+        if intent.passive:
+            return [
+                c for c in self.components if c.name in intent.passive_targets
+            ]
+        if intent.explicit:
+            target = self.by_name.get(intent.target)
+            return [] if target is None else [target]
+        return self._by_action.get(intent.action, [])
+
+    def receivers(
+        self, intent: IntentModel, sender: ComponentModel
+    ) -> List[ComponentModel]:
+        """The components other than ``sender`` that ``intent`` reaches."""
+        return [
+            receiver
+            for receiver in self.candidates(intent)
+            if receiver.name != sender.name
+            and deliverable(intent, sender, receiver)
+        ]
+
+    def call_edges(self) -> Set[Tuple[str, str]]:
+        """See :func:`call_edges`."""
+        return {
+            (sender.name, receiver.name)
+            for intent, sender in self._sent()
+            for receiver in self.receivers(intent, sender)
+        }
+
+    def relay_edges(self) -> Set[Tuple[str, str]]:
+        """See :func:`relay_edges`."""
+        return {
+            (sender.name, receiver.name)
+            for intent, sender in self._sent()
+            if Resource.ICC in intent.extras
+            and any(
+                p.source is Resource.ICC and p.sink is Resource.ICC
+                for p in sender.paths
+            )
+            for receiver in self.receivers(intent, sender)
+        }
+
+    def _sent(self) -> Iterator[Tuple[IntentModel, ComponentModel]]:
+        """Each Intent of the bundle with its sender; an Intent whose
+        sender is not in the bundle sends nothing."""
+        for intent in self.bundle.all_intents():
+            sender = self.by_name.get(intent.sender)
+            if sender is not None:
+                yield intent, sender
+
+
 def call_edges(bundle: BundleModel) -> Set[Tuple[str, str]]:
     """All ICC call edges: (c1, c2) when any Intent of c1 reaches c2.
 
     Unlike :func:`relay_edges` there is no payload or data-flow
     requirement -- an edge records mere control transfer.  Permission
     re-delegation chains of length k are k-step walks here."""
-    components = bundle.all_components()
-    by_name = {c.name: c for c in components}
-    edges: Set[Tuple[str, str]] = set()
-    for intent in bundle.all_intents():
-        sender = by_name.get(intent.sender)
-        if sender is None:
-            continue
-        for receiver in components:
-            if receiver.name == sender.name:
-                continue
-            if deliverable(intent, sender, receiver):
-                edges.add((sender.name, receiver.name))
-    return edges
+    return BundleIndex(bundle).call_edges()
+
+
+def relay_edges(bundle: BundleModel) -> Set[Tuple[str, str]]:
+    """Forwarding edges: c1 has an ICC -> ICC path and sends an
+    ICC-carrying Intent that reaches c2."""
+    return BundleIndex(bundle).relay_edges()
 
 
 def _provider_targets(
@@ -139,37 +204,12 @@ def provider_read_edges(bundle: BundleModel) -> Set[Tuple[str, str]]:
     return edges
 
 
-def relay_edges(bundle: BundleModel) -> Set[Tuple[str, str]]:
-    """Forwarding edges: c1 has an ICC -> ICC path and sends an
-    ICC-carrying Intent that reaches c2."""
-    components = bundle.all_components()
-    by_name = {c.name: c for c in components}
-    edges: Set[Tuple[str, str]] = set()
-    for intent in bundle.all_intents():
-        if Resource.ICC not in intent.extras:
-            continue
-        sender = by_name.get(intent.sender)
-        if sender is None:
-            continue
-        if not any(
-            p.source is Resource.ICC and p.sink is Resource.ICC
-            for p in sender.paths
-        ):
-            continue
-        for receiver in components:
-            if receiver.name == sender.name:
-                continue
-            if deliverable(intent, sender, receiver):
-                edges.add((sender.name, receiver.name))
-    return edges
-
-
 def transitive_receivers(
-    bundle: BundleModel, first_hops: Set[str]
+    edges: Set[Tuple[str, str]], first_hops: Set[str]
 ) -> Set[str]:
-    """All components reachable from ``first_hops`` over relay edges
-    (reflexively: the first hops themselves are included)."""
-    edges = relay_edges(bundle)
+    """All components reachable from ``first_hops`` over ``edges`` (the
+    bundle's relay edges), reflexively: the first hops themselves are
+    included."""
     adjacency: Dict[str, Set[str]] = {}
     for src, dst in edges:
         adjacency.setdefault(src, set()).add(dst)

@@ -15,13 +15,14 @@ may be hardened to outright denial.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional
 
 from repro.android.resources import Resource
-from repro.core.app_to_spec import BundleSpec
-from repro.core.model import BundleModel
+from repro.core.icc_graph import BundleIndex, deliverable
+from repro.core.model import BundleModel, IntentModel
 from repro.core.vulnerabilities.base import ExploitScenario
 
 
@@ -97,17 +98,14 @@ class ECAPolicy:
 
 
 def derive_policies(
-    scenarios: Iterable[ExploitScenario],
-    bundle: BundleModel,
-    spec: Optional[BundleSpec] = None,
+    scenarios: Iterable[ExploitScenario], bundle: BundleModel
 ) -> List[ECAPolicy]:
     """Turn synthesized scenarios into the preventive policy set."""
-    if spec is None:
-        spec = BundleSpec(bundle)
+    index = BundleIndex(bundle)
     policies: List[ECAPolicy] = []
     seen = set()
     for scenario in scenarios:
-        policy = _derive_one(scenario, bundle, spec)
+        policy = _derive_one(scenario, bundle, index)
         if policy is None:
             continue
         key = (
@@ -127,8 +125,27 @@ def derive_policies(
     return policies
 
 
+def hijack_allow_list(index: BundleIndex, intent: IntentModel) -> FrozenSet[str]:
+    """The bundle components a hijack policy lets ``intent`` reach: those
+    with a filter it matches as an implicit Intent.  The hijack signature
+    treats its vulnerable Intent as implicit (no recipient in the bundle
+    was extracted for it), so a target outside the bundle or a passive
+    channel does not narrow the list."""
+    sender = index.by_name.get(intent.sender)
+    if sender is None:
+        return frozenset()
+    implicit = dataclasses.replace(
+        intent, target=None, passive=False, passive_targets=frozenset()
+    )
+    return frozenset(
+        receiver.name
+        for receiver in index.candidates(implicit)
+        if deliverable(implicit, sender, receiver)
+    )
+
+
 def _derive_one(
-    scenario: ExploitScenario, bundle: BundleModel, spec: BundleSpec
+    scenario: ExploitScenario, bundle: BundleModel, index: BundleIndex
 ) -> Optional[ECAPolicy]:
     vuln = scenario.vulnerability
     intent = scenario.intent or {}
@@ -154,12 +171,9 @@ def _derive_one(
             return None
         entity_id = scenario.roles.get("vulnerable_intent")
         allowed: FrozenSet[str] = frozenset()
-        for app in bundle.apps:
-            for model_intent in app.intents:
-                if model_intent.entity_id == entity_id:
-                    allowed = frozenset(
-                        spec.matching_bundle_receivers(model_intent)
-                    )
+        for model_intent in bundle.all_intents():
+            if model_intent.entity_id == entity_id:
+                allowed = hijack_allow_list(index, model_intent)
         return ECAPolicy(
             event=PolicyEvent.ICC_SEND,
             vulnerability=vuln,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.android.apk import Apk
-from repro.core.app_to_spec import BundleSpec
 from repro.core.detector import DetectionReport, SeparDetector
 from repro.core.model import BundleModel
 from repro.core.policy import ECAPolicy, derive_policies
@@ -99,8 +98,7 @@ class Separ:
         Split out so the parallel pipeline can fan synthesis out across
         (bundle, signature) pairs and still assemble the exact report
         `analyze_bundle` would have produced."""
-        spec = BundleSpec(bundle)
-        policies = derive_policies(result.scenarios, bundle, spec)
+        policies = derive_policies(result.scenarios, bundle)
         detection = SeparDetector().detect(bundle)
         return SeparReport(
             bundle=bundle,

@@ -4,7 +4,9 @@ The Xposed framework lets a module register callbacks that run before and
 after any method call, with the power to rewrite arguments, replace the
 return value, or skip the call entirely -- all without touching the app's
 APK.  :class:`HookManager` reproduces that contract for the IR interpreter:
-the runtime consults it at every platform-API invoke.
+the runtime consults it at every platform-API invoke.  An ICC send reaches
+its before-hooks already resolved: :attr:`MethodCall.recipients` holds the
+components the framework would deliver it to.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ class MethodCall:
 
     Before-hooks may mutate ``args``, set ``skip = True`` (optionally with
     ``result``) to suppress the call, or leave it untouched.  After-hooks
-    may replace ``result``."""
+    may replace ``result``.
+
+    For an ICC send the runtime resolves the Intent once, before the
+    before-hooks run, and puts the components it resolved to in
+    ``recipients`` (``None`` for every other call).  A call no hook skips
+    is delivered to ``recipients``, so a hook reads them instead of
+    resolving the Intent again."""
 
     signature: str
     component: str  # qualified component whose code is executing
@@ -27,6 +35,7 @@ class MethodCall:
     args: List[Any] = field(default_factory=list)
     skip: bool = False
     result: Any = None
+    recipients: Optional[List[Any]] = None
 
 
 BeforeHook = Callable[[MethodCall], None]

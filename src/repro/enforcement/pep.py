@@ -2,9 +2,11 @@
 
 Hooks every ICC API (``startService``, ``startActivity``,
 ``startActivityForResult``, ``bindService``, ``sendBroadcast``,
-``setResult``) through the Xposed-style hook manager.  When a hooked call
-fires, the PEP resolves the Intent's prospective receivers, builds one
-:class:`~repro.core.policy.IccEvent` per prospective receiver, and asks
+``setResult``) through the Xposed-style hook manager.  When a hooked send
+fires, the runtime has already resolved its Intent, once, and hands the
+prospective receivers over in
+:attr:`~repro.enforcement.hooks.MethodCall.recipients`.  The PEP builds
+one :class:`~repro.core.policy.IccEvent` per prospective receiver and asks
 the PDP **twice per event** -- once as ``ICC_SEND`` (is the sender allowed
 to emit this?) and once as ``ICC_RECEIVE`` (is the receiver allowed to
 get it?); delivery requires both :class:`~repro.enforcement.pdp.Decision`
@@ -14,16 +16,17 @@ resolved receivers produces exactly *2k* audit entries (this is the
 decision contract documented in :mod:`repro.enforcement.pdp` and
 ``docs/ENFORCEMENT.md``).
 
-Receivers the PDP denies are cut out of the delivery; the call itself is
-skipped and re-issued with the approved subset, so a blocked ICC call
-simply never delivers -- the sending app continues in degraded mode
-without crashing (ICC is asynchronous, so no response was guaranteed
-anyway).  Prompt semantics live entirely in the PDP: when a PROMPT
-policy matches, the PDP's injected consent callback runs synchronously
-inside ``decide`` and the PEP only ever sees the resulting verdict.  The
-PEP works against either PDP backend (``linear`` or ``compiled``) --
-it holds a reference to the PDP's shared audit trail and never inspects
-policy internals."""
+When every receiver is allowed the PEP leaves the call alone, and the
+runtime delivers the recipients it resolved.  Receivers the PDP denies
+are cut out of the delivery; the call itself is skipped and re-issued
+with the approved subset, so a blocked ICC call simply never delivers --
+the sending app continues in degraded mode without crashing (ICC is
+asynchronous, so no response was guaranteed anyway).  Prompt semantics
+live entirely in the PDP: when a PROMPT policy matches, the PDP's
+injected consent callback runs synchronously inside ``decide`` and the
+PEP only ever sees the resulting verdict.  The PEP works against either
+PDP backend (``linear`` or ``compiled``) -- it holds a reference to the
+PDP's shared audit trail and never inspects policy internals."""
 
 from __future__ import annotations
 
@@ -66,11 +69,12 @@ class PolicyEnforcementPoint:
 
     # ------------------------------------------------------------------
     def _on_icc_send(self, call: MethodCall) -> None:
-        intent = call.args[0] if call.args else None
-        if not isinstance(intent, RuntimeIntent):
+        matches = call.recipients
+        if matches is None:
             return
+        intent = call.args[0]
         sender = call.component
-        matches = self.runtime.resolve_icc(sender, call.signature, intent)
+        extras = intent.carried_resources
         sender_perms = self.runtime.sender_permissions(sender)
         allowed = []
         for component in matches:
@@ -78,7 +82,7 @@ class PolicyEnforcementPoint:
                 sender=sender,
                 receiver=component.qualified,
                 action=intent.action,
-                extras=intent.carried_resources,
+                extras=extras,
                 sender_permissions=sender_perms,
             )
             send_ok = (

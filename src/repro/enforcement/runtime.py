@@ -9,6 +9,12 @@ through a queue (Android's ICC calls are asynchronous), resolved with the
 framework's matching rules, permission-checked, and -- crucially --
 interceptable through the Xposed-style :class:`HookManager`, which is where
 the policy enforcement point attaches.
+
+Each send is resolved exactly once, before its before-hooks run: the
+:class:`Device` looks the candidates up in its per-kind action buckets,
+:func:`~repro.android.intents.resolve_intent` decides them, and the
+result rides on :attr:`MethodCall.recipients` to the hooks and, unless a
+hook skips the call, to delivery.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.android.apk import Apk
 from repro.android.components import ComponentDecl, ComponentKind
-from repro.android.intents import IntentFilter
 from repro.android.intents import Intent as ModelIntent
+from repro.android.intents import IntentFilter, action_buckets, resolve_intent
 from repro.android.permissions import SINK_API_MAP, SOURCE_API_MAP
 from repro.android.resources import Resource
 from repro.dex.instructions import (
@@ -166,10 +172,19 @@ class InstalledApp:
 
 
 class Device:
-    """Installed-app registry."""
+    """Installed-app registry.
+
+    Keeps, per component kind, the installed components bucketed by the
+    actions their filters list (:func:`~repro.android.intents.action_buckets`)
+    so that resolving a send looks its candidates up instead of scanning
+    every component.  Installing, uninstalling and registering a filter
+    drop the buckets; the next resolution rebuilds them."""
 
     def __init__(self) -> None:
         self.apps: Dict[str, InstalledApp] = {}
+        self._buckets: Dict[
+            ComponentKind, Dict[Optional[str], List[InstalledComponent]]
+        ] = {}
 
     def install(self, apk: Apk) -> InstalledApp:
         if apk.package in self.apps:
@@ -180,10 +195,38 @@ class Device:
             components[qualified] = InstalledComponent(decl, qualified, apk.package)
         app = InstalledApp(apk, components)
         self.apps[apk.package] = app
+        self._buckets.clear()
         return app
 
     def uninstall(self, package: str) -> None:
         del self.apps[package]
+        self._buckets.clear()
+
+    def register_filter(
+        self, component: InstalledComponent, filt: IntentFilter
+    ) -> None:
+        """``Context.registerReceiver``: add a filter registered in code."""
+        component.dynamic_filters.append(filt)
+        self._buckets.clear()
+
+    def candidates(
+        self, kind: ComponentKind, intent: ModelIntent
+    ) -> List[InstalledComponent]:
+        """The installed components of ``kind`` that ``intent`` may resolve
+        to, in installation order: an explicit Intent's named target, or
+        the components with a filter listing an implicit Intent's action.
+        :func:`~repro.android.intents.resolve_intent` still decides each."""
+        if intent.explicit:
+            target = self.component(intent.target)
+            if target is None or target.decl.kind is not kind:
+                return []
+            return [target]
+        buckets = self._buckets.get(kind)
+        if buckets is None:
+            buckets = self._buckets[kind] = action_buckets(
+                c for c in self.all_components() if c.decl.kind is kind
+            )
+        return buckets.get(intent.action, [])
 
     def all_components(self) -> List[InstalledComponent]:
         return [c for app in self.apps.values() for c in app.components.values()]
@@ -321,12 +364,7 @@ class AndroidRuntime:
         if signature == "Context.startActivityForResult":
             intent.wants_result = True
         model = intent.to_model()
-        candidates = [
-            c for c in self.device.all_components() if c.decl.kind is kind
-        ]
-        from repro.android.intents import resolve_intent
-
-        matches = resolve_intent(model, candidates)
+        matches = resolve_intent(model, self.device.candidates(kind, model))
         if kind is not ComponentKind.RECEIVER and len(matches) > 1:
             # The framework delivers a non-broadcast implicit Intent to a
             # single recipient: highest filter priority wins, name breaks
@@ -344,12 +382,6 @@ class AndroidRuntime:
         sender_app = sender.split("/", 1)[0]
         app = self.device.apps.get(sender_app)
         return app.permissions if app is not None else frozenset()
-
-    def _send_icc(
-        self, sender: str, signature: str, intent: RuntimeIntent
-    ) -> None:
-        matches = self.resolve_icc(sender, signature, intent)
-        self.deliver_icc(sender, signature, intent, matches)
 
     def deliver_icc(
         self,
@@ -601,13 +633,21 @@ class AndroidRuntime:
                 app, component, callee, args, depth + 1, caller_app
             )
 
-        # Platform API: hookable.
+        # Platform API: hookable.  An ICC send is resolved here, once: the
+        # before-hooks see its recipients, and unless one skips the call
+        # they are the components it is delivered to.
         call = MethodCall(
             signature=instr.signature,
             component=component,
             receiver=receiver,
             args=args,
         )
+        if instr.signature in _SEND_KIND and args and isinstance(
+            args[0], RuntimeIntent
+        ):
+            call.recipients = self.resolve_icc(
+                component, instr.signature, args[0]
+            )
         self.hooks.run_before(call)
         if call.skip:
             self.effects.append(
@@ -674,11 +714,10 @@ class AndroidRuntime:
                 receiver.data_schemes.add(args[0])
                 return receiver
 
-        # ICC sends.
+        # ICC sends, resolved by _invoke before the hooks ran.
         if sig in _SEND_KIND:
-            intent = args[0] if args else None
-            if isinstance(intent, RuntimeIntent):
-                self._send_icc(component, sig, intent)
+            if call.recipients is not None:
+                self.deliver_icc(component, sig, args[0], call.recipients)
             return None
         if sig in _RESOLVER_APIS:
             return self._resolver_call(app, component, sig, args, caller_app)
@@ -694,7 +733,7 @@ class AndroidRuntime:
                 cmp_name = f"{app.package}/{target.get('__type__')}"
                 installed = self.device.component(cmp_name)
                 if installed is not None:
-                    installed.dynamic_filters.append(filt.to_model())
+                    self.device.register_filter(installed, filt.to_model())
             return None
 
         # Sensitive sources: return tagged data.

@@ -500,8 +500,11 @@ class PolicyService:
 
     def _global_status(self) -> Dict[str, Any]:
         now = time.monotonic()
+        # Never wait on a session lock here: this runs on the event loop,
+        # and a busy device's batch thread holds its lock through a whole
+        # synthesis.  A busy session reports the status it last took.
         sessions = {
-            device: session.status()
+            device: session.status_nowait()
             for device, session in sorted(self.sessions.items())
         }
         return {

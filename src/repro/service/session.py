@@ -193,6 +193,7 @@ class DeviceSession:
         # request runs is that request's cost.
         self.ledger = CostLedger()
         self.account = CostKey(device=device)
+        self._last_status = self.status()
 
     # ------------------------------------------------------------------
     # State access
@@ -330,7 +331,7 @@ class DeviceSession:
     def status(self) -> Dict[str, Any]:
         with self._lock:
             problem = self.engine.last_problem
-            return {
+            self._last_status = {
                 "device": self.device,
                 "installed": self.packages(),
                 "dirty": self._dirty,
@@ -354,6 +355,21 @@ class DeviceSession:
                 },
                 "cost": self.ledger.totals(),
             }
+            return self._last_status
+
+    def status_nowait(self) -> Dict[str, Any]:
+        """:meth:`status` without waiting for the session lock.
+
+        A device's batch thread holds the lock through a whole synthesis;
+        while it does, this returns the status last taken (at creation or
+        by the last :meth:`status` call), so a server-wide status never
+        stalls the caller's thread."""
+        if not self._lock.acquire(blocking=False):
+            return self._last_status
+        try:
+            return self.status()
+        finally:
+            self._lock.release()
 
     @staticmethod
     def _parse_event(kind: Any, event: Any) -> Tuple[PolicyEvent, IccEvent]:

@@ -49,7 +49,8 @@ class TestBarcoder:
         intent = RuntimeIntent(sender="evil/App")
         intent.action = "ir.barcoder.PAY_BILL"
         intent.extras["billInfo"] = "attacker-bill"
-        rt._send_icc("evil/App", "Context.startActivity", intent)
+        recipients = rt.resolve_icc("evil/App", "Context.startActivity", intent)
+        rt.deliver_icc("evil/App", "Context.startActivity", intent, recipients)
         rt._drain()
         assert rt.effects_of_kind("sms_sent"), "the unauthorized payment fires"
 
@@ -141,7 +142,8 @@ class TestErmeteSms:
         intent.target = "org.ermete.sms/ComposeActivity"
         intent.extras["number"] = "5550001"
         intent.extras["body"] = "spam"
-        rt._send_icc("noperm/App", "Context.startActivity", intent)
+        recipients = rt.resolve_icc("noperm/App", "Context.startActivity", intent)
+        rt.deliver_icc("noperm/App", "Context.startActivity", intent, recipients)
         rt._drain()
         assert rt.effects_of_kind("sms_sent")
 

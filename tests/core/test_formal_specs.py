@@ -12,6 +12,7 @@ from repro.core.framework_spec import (
     action_atom,
     resource_atom,
 )
+from repro.core.icc_graph import BundleIndex
 from repro.core.model import (
     AppModel,
     BundleModel,
@@ -20,6 +21,7 @@ from repro.core.model import (
     IntentModel,
     PathModel,
 )
+from repro.core.policy import hijack_allow_list
 from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.core.vulnerabilities import (
     IntentHijackSignature,
@@ -124,14 +126,13 @@ class TestBundleSpec:
         assert Resource.LOCATION in attrs["extras"]
         assert attrs["receiver"] is None
 
-    def test_matching_bundle_receivers(self, bundle):
-        spec = BundleSpec(bundle)
+    def test_hijack_allow_list(self, bundle):
         [hijackable] = [
             i for i in bundle.all_intents() if i.sender.endswith("LocationFinder")
         ]
-        assert spec.matching_bundle_receivers(hijackable) == [
+        assert hijack_allow_list(BundleIndex(bundle), hijackable) == {
             "com.example.navigation/RouteFinder"
-        ]
+        }
 
     def test_absent_sender_intent_skipped(self):
         """Intents whose sender component is not modeled are dropped from

@@ -4,7 +4,12 @@ import pytest
 
 from repro.android.components import ComponentKind
 from repro.android.resources import Resource
-from repro.core.icc_graph import deliverable, relay_edges, transitive_receivers
+from repro.core.icc_graph import (
+    BundleIndex,
+    deliverable,
+    relay_edges,
+    transitive_receivers,
+)
 from repro.core.model import (
     AppModel,
     BundleModel,
@@ -35,24 +40,38 @@ def forwarding_intent(entity, sender, target, app="a"):
     )
 
 
+def reaches(intent, sender, receiver):
+    """``deliverable``'s verdict, which the bundle index must agree with."""
+    apps = {}
+    for comp in (sender, receiver):
+        apps.setdefault(comp.app, []).append(comp)
+    bundle = BundleModel(
+        apps=[AppModel(package=p, components=c) for p, c in apps.items()]
+    )
+    verdict = deliverable(intent, sender, receiver)
+    indexed = BundleIndex(bundle).receivers(intent, sender)
+    assert (receiver in indexed) == verdict
+    return verdict
+
+
 class TestDeliverable:
     def test_explicit_match(self):
         sender = component("S", exported=True)
         receiver = component("T")
         intent = IntentModel(entity_id="i", sender="a/S", target="a/T")
-        assert deliverable(intent, sender, receiver)
+        assert reaches(intent, sender, receiver)
 
     def test_explicit_wrong_target(self):
         sender = component("S")
         receiver = component("T")
         intent = IntentModel(entity_id="i", sender="a/S", target="a/Other")
-        assert not deliverable(intent, sender, receiver)
+        assert not reaches(intent, sender, receiver)
 
     def test_private_cross_app_blocked(self):
         sender = component("S", app="a")
         receiver = component("T", app="b", exported=False)
         intent = IntentModel(entity_id="i", sender="a/S", target="b/T")
-        assert not deliverable(intent, sender, receiver)
+        assert not reaches(intent, sender, receiver)
 
     def test_passive_needs_registered_target(self):
         sender = component("S")
@@ -62,8 +81,8 @@ class TestDeliverable:
             passive_targets=frozenset({"a/T"}),
         )
         miss = IntentModel(entity_id="j", sender="a/S", passive=True)
-        assert deliverable(hit, sender, receiver)
-        assert not deliverable(miss, sender, receiver)
+        assert reaches(hit, sender, receiver)
+        assert not reaches(miss, sender, receiver)
 
     def test_implicit_filter_match(self):
         sender = component("S")
@@ -73,7 +92,7 @@ class TestDeliverable:
             intent_filters=(IntentFilterModel(actions=frozenset({"go"})),),
         )
         intent = IntentModel(entity_id="i", sender="a/S", action="go")
-        assert deliverable(intent, sender, receiver)
+        assert reaches(intent, sender, receiver)
 
 
 class TestRelayEdges:
@@ -122,12 +141,12 @@ class TestRelayEdges:
 
     def test_transitive_receivers_reflexive(self):
         bundle = self.make_chain(4)
-        reached = transitive_receivers(bundle, {"a/C1"})
+        reached = transitive_receivers(relay_edges(bundle), {"a/C1"})
         assert reached == {"a/C1", "a/C2", "a/C3", "a/C4"}
 
     def test_transitive_receivers_empty_start(self):
         bundle = self.make_chain(2)
-        assert transitive_receivers(bundle, set()) == set()
+        assert transitive_receivers(relay_edges(bundle), set()) == set()
 
     def test_cycle_terminates(self):
         components = [relay_component("C0"), relay_component("C1")]
@@ -138,5 +157,5 @@ class TestRelayEdges:
         bundle = BundleModel(
             apps=[AppModel(package="a", components=components, intents=intents)]
         )
-        reached = transitive_receivers(bundle, {"a/C0"})
+        reached = transitive_receivers(relay_edges(bundle), {"a/C0"})
         assert reached == {"a/C0", "a/C1"}

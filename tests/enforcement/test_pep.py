@@ -189,7 +189,9 @@ class TestEndToEndEnforcement:
         intent = RuntimeIntent()
         intent.target = "com.example.messenger/MessageSender"
         intent.extras["TEXT_MSG"] = "hello"  # untainted payload
-        rt._send_icc("com.example.messenger/MessageSender", "Context.startService", intent)
+        sender = "com.example.messenger/MessageSender"
+        recipients = rt.resolve_icc(sender, "Context.startService", intent)
+        rt.deliver_icc(sender, "Context.startService", intent, recipients)
         rt._drain()
         assert not any(r.prompted for r in pdp.log)
 

@@ -410,7 +410,8 @@ class TestBroadcast:
         intent = RuntimeIntent(sender="android/framework")
         intent.action = "dyn.PING"
         # Broadcast from the framework.
-        rt._send_icc("d/Main", "Context.sendBroadcast", intent)
+        recipients = rt.resolve_icc("d/Main", "Context.sendBroadcast", intent)
+        rt.deliver_icc("d/Main", "Context.sendBroadcast", intent, recipients)
         rt._drain()
         assert rt.effects_of_kind("log")
 

@@ -380,6 +380,62 @@ class TestTracingAndCost:
                 assert health["stalled_devices"] == []
 
 
+    def test_global_status_does_not_wait_on_a_busy_session(
+        self, app_dicts, monkeypatch
+    ):
+        """A server-wide ``status`` runs on the event loop and must not
+        wait for a session lock that a device's batch thread holds: while
+        a handler sits on the lock, a global ``status`` and a ``ping`` on
+        other connections answer at once, the busy device reporting the
+        status it took at creation."""
+        import threading
+        import time
+
+        from repro.service.session import DeviceSession
+
+        entered, release = threading.Event(), threading.Event()
+        original = DeviceSession.handle
+
+        def locked_handle(self, request):
+            with self._lock:
+                entered.set()
+                release.wait(timeout=10)
+                return original(self, request)
+
+        monkeypatch.setattr(DeviceSession, "handle", locked_handle)
+        first = next(iter(app_dicts.values()))
+        replies = []
+        service = PolicyService(make_config())
+        with service.background():
+            host, port = service.address
+
+            def install():
+                with ServiceClient(host, port) as client:
+                    replies.append(client.install("dev1", first))
+
+            blocked = threading.Thread(target=install)
+            blocked.start()
+            try:
+                assert entered.wait(timeout=30)
+                with ServiceClient(host, port) as status_client, ServiceClient(
+                    host, port
+                ) as ping_client:
+                    started = time.monotonic()
+                    status = status_client.status()
+                    status_s = time.monotonic() - started
+                    started = time.monotonic()
+                    pong = ping_client.ping()
+                    ping_s = time.monotonic() - started
+                assert not release.is_set()
+            finally:
+                release.set()
+                blocked.join(timeout=30)
+        assert status_s < 0.5 and ping_s < 0.5, (status_s, ping_s)
+        assert pong["pong"] is True
+        assert status["sessions"]["dev1"]["installed"] == []
+        assert status["sessions"]["dev1"]["requests"] == 0
+        assert replies[0]["installed"] == [first["package"]]
+
     def test_healthz_is_false_once_shutdown_begins(self):
         """A healthz answered after shutdown has begun reports unhealthy.
         The shutdown flag is set and healthz answered in one step of the
