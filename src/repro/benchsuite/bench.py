@@ -44,7 +44,6 @@ HIGHER_BETTER = frozenset(
         "recall",
         "f_measure",
         "true_positives",
-        "shared_speedup",
         "compiled_speedup",
         "linear_events_per_sec",
         "compiled_events_per_sec",
@@ -104,7 +103,6 @@ class BenchConfig:
             "extraction",
             "pipeline_cold",
             "pipeline_warm",
-            "synthesis_modes",
             "accuracy",
             "accuracy_scaled",
             "enforcement",
@@ -322,87 +320,6 @@ def _bench_accuracy_scaled(config: BenchConfig) -> Dict[str, float]:
     metrics["false_positives"] = float(fp)
     metrics["false_negatives"] = float(fn)
     return metrics
-
-
-def _bench_synthesis_modes(config: BenchConfig) -> Dict[str, float]:
-    """Shared vs per-signature synthesis wall-clock on identical bundles.
-
-    The PR 4 tradeoff, measured head-on: the shared encoding saves ~5x
-    on translations but used to *lose* end-to-end because every gated
-    query re-propagated the larger shared DB.  ``shared_speedup`` > 1.0
-    means the shared mode wins outright against the per-signature
-    reference; it is direction-tagged in ``HIGHER_BETTER`` so a
-    comparison flags any slide back below parity.
-
-    Runs at the engine level (no cache, no worker pool) so the numbers
-    isolate encoding + solving, and uses the corpus ledger to bias
-    bundles toward injected-vulnerable apps -- all-clean bundles solve
-    too fast to measure anything.
-    """
-    import random
-
-    from repro.core.synthesis import AnalysisAndSynthesisEngine
-    from repro.statics import extract_bundle
-    from repro.workloads import CorpusConfig, CorpusGenerator
-
-    generator = CorpusGenerator(
-        CorpusConfig(seed=config.seed, scale=config.effective_scale())
-    )
-    apks = generator.generate()
-    ledger = generator.ledger
-    flagged = set()
-    for group in (
-        ledger.hijack_apps,
-        ledger.launch_apps,
-        ledger.leak_apps,
-        ledger.escalation_apps,
-    ):
-        flagged.update(group)
-    rng = random.Random(config.seed)
-    vulnerable = [a for a in apks if a.package in flagged]
-    neutral = [a for a in apks if a.package not in flagged]
-    size = min(3, max(2, config.bundle_size))
-    bundles = []
-    for _ in range(2 if config.quick else 3):
-        picked = rng.sample(vulnerable, min(2, len(vulnerable)))
-        picked += rng.sample(
-            neutral, min(len(neutral), max(0, size - len(picked)))
-        )
-        bundles.append(extract_bundle(picked))
-
-    def run_mode(shared: bool) -> Dict[str, float]:
-        engine = AnalysisAndSynthesisEngine(
-            scenarios_per_signature=config.scenarios,
-            shared_encoding=shared,
-        )
-        t0 = time.perf_counter()
-        scenarios = 0
-        propagations = 0
-        for bundle in bundles:
-            result = engine.run(bundle)
-            scenarios += len(result.scenarios)
-            propagations += result.stats.propagations
-        return {
-            "seconds": time.perf_counter() - t0,
-            "scenarios": float(scenarios),
-            "propagations": float(propagations),
-        }
-
-    per_sig = run_mode(shared=False)
-    shared = run_mode(shared=True)
-    return {
-        "bundles": float(len(bundles)),
-        "scenarios": shared["scenarios"],
-        "per_signature_seconds": per_sig["seconds"],
-        "shared_seconds": shared["seconds"],
-        "shared_speedup": (
-            per_sig["seconds"] / shared["seconds"]
-            if shared["seconds"] > 0
-            else 0.0
-        ),
-        "per_signature_propagations": per_sig["propagations"],
-        "shared_propagations": shared["propagations"],
-    }
 
 
 def make_enforcement_workload(
@@ -855,7 +772,6 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
 
 _WORKLOADS: Dict[str, Callable[[BenchConfig], Any]] = {
     "extraction": _bench_extraction,
-    "synthesis_modes": _bench_synthesis_modes,
     "accuracy": _bench_accuracy,
     "accuracy_scaled": _bench_accuracy_scaled,
     "enforcement": _bench_enforcement,

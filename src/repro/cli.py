@@ -49,8 +49,10 @@ Usage (``python -m repro <command>``):
 LEVEL`` (or ``REPRO_LOG=LEVEL``) routes diagnostic chatter -- heartbeat
 lines from ``pipeline --watch``, HTTP access logs -- through stdlib
 logging; without it, logging stays unconfigured and default output is
-unchanged.  Every subcommand documents its flags via ``repro <command>
---help``.
+unchanged.  ``REPRO_TRACE=FILE`` traces any command into a JSONL file,
+with solver heartbeats every ``REPRO_PROGRESS`` conflicts; ``pipeline
+--trace``/``--watch`` install their own tracer instead.  Every
+subcommand documents its flags via ``repro <command> --help``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,33 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
         return value
 
     return parse
+
+
+#: Environment variables :func:`main` reads once per command: a trace
+#: file, the one way to trace commands that install no tracer themselves
+#: (``serve``, ``demo``, ``analyze``), and its solver heartbeat interval
+#: in conflicts (a non-numeric or non-positive value means the default;
+#: unset means no heartbeats).
+TRACE_ENV = "REPRO_TRACE"
+PROGRESS_ENV = "REPRO_PROGRESS"
+
+
+def _trace_from_env() -> None:
+    path = os.environ.get(TRACE_ENV)
+    if not path:
+        return
+    from repro.obs import DEFAULT_INTERVAL, enable_tracing
+
+    interval = 0
+    progress = os.environ.get(PROGRESS_ENV)
+    if progress:
+        try:
+            interval = int(progress)
+        except ValueError:
+            interval = DEFAULT_INTERVAL
+        if interval <= 0:
+            interval = DEFAULT_INTERVAL
+    enable_tracing(path, heartbeat_interval=interval)
 
 
 _positive_int = _int_at_least(1)
@@ -165,7 +194,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.obs import enable_metrics, enable_tracing
+    from repro.obs import enable_tracing
     from repro.pipeline import (
         AnalysisPipeline,
         FaultPolicy,
@@ -198,7 +227,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 max(1, args.progress_interval) if args.watch else 0
             ),
         )
-    enable_metrics()
 
     monitor = None
     if args.watch:
@@ -452,7 +480,7 @@ def _load_metrics_snapshot(report_path: str) -> dict:
     if not snapshot:
         raise ValueError(
             "no metrics in report (write one with `repro pipeline "
-            "--report`, which always collects metrics)"
+            "--report`, whose run always counts its own)"
         )
     snapshot = dict(snapshot)
     if isinstance(data, dict) and "metrics" in data and data.get("cost"):
@@ -483,10 +511,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.obs import enable_metrics
     from repro.service import PolicyService, ServerConfig, SessionConfig
 
-    enable_metrics()
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -1397,6 +1423,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             format="[%(asctime)s %(levelname)s %(name)s] %(message)s",
             datefmt="%H:%M:%S",
         )
+    _trace_from_env()
     return args.func(args)
 
 

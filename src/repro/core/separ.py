@@ -91,15 +91,21 @@ class Separ:
 
     @staticmethod
     def assemble_report(
-        bundle: BundleModel, result: SynthesisResult
+        bundle: BundleModel,
+        result: SynthesisResult,
+        detection: Optional[DetectionReport] = None,
     ) -> SeparReport:
         """Policy derivation + detection over a precomputed synthesis.
 
         Split out so the parallel pipeline can fan synthesis out across
         (bundle, signature) pairs and still assemble the exact report
-        `analyze_bundle` would have produced."""
+        `analyze_bundle` would have produced.  A caller that already
+        holds the bundle's detection passes it as ``detection`` (any app
+        order: :meth:`DetectionReport.to_dict` sorts), and detection does
+        not run again."""
         policies = derive_policies(result.scenarios, bundle)
-        detection = SeparDetector().detect(bundle)
+        if detection is None:
+            detection = SeparDetector().detect(bundle)
         return SeparReport(
             bundle=bundle,
             scenarios=result.scenarios,

@@ -21,7 +21,7 @@ from repro.core.app_to_spec import BundleSpec
 from repro.core.model import BundleModel
 from repro.core.vulnerabilities import default_signatures
 from repro.core.vulnerabilities.base import ExploitScenario, VulnerabilitySignature
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.relational import ast as rast
 from repro.relational.problem import RelationalProblem
 from repro.relational.sigs import Module, Sig
@@ -305,22 +305,6 @@ class AnalysisAndSynthesisEngine:
         stats.translations = 1
         stats.translations_avoided = max(0, len(groups) - 1)
         stats.exhausted = exhausted_any
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("ase.signature_runs").inc(len(groups))
-            metrics.counter("ase.scenarios").inc(len(scenarios))
-            metrics.counter("ase.translations").inc(stats.translations)
-            metrics.counter("ase.translations_avoided").inc(
-                stats.translations_avoided
-            )
-            metrics.counter("ase.clauses_shared").inc(stats.clauses_shared)
-            metrics.counter("ase.learned_carried").inc(stats.learned_carried)
-            if exhausted_any:
-                metrics.counter("ase.budget_exhausted").inc()
-            metrics.histogram("ase.num_vars").observe(stats.num_vars)
-            metrics.histogram("ase.num_clauses").observe(stats.num_clauses)
-            metrics.histogram("ase.construction_seconds").observe(construction)
-            metrics.histogram("ase.solving_seconds").observe(solving)
         self.last_problem = problem
         return SynthesisResult(scenarios=scenarios, stats=stats)
 
@@ -524,19 +508,6 @@ class AnalysisAndSynthesisEngine:
                 )
             solving = time.perf_counter() - solve_start
             scenarios = [instantiation.decode(instance) for instance in found]
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("ase.signature_runs").inc()
-            metrics.counter("ase.scenarios").inc(len(found))
-            metrics.counter("ase.translations").inc()
-            if exhausted:
-                metrics.counter("ase.budget_exhausted").inc()
-            metrics.histogram("ase.num_vars").observe(problem.stats.num_vars)
-            metrics.histogram("ase.num_clauses").observe(
-                problem.stats.num_clauses
-            )
-            metrics.histogram("ase.construction_seconds").observe(construction)
-            metrics.histogram("ase.solving_seconds").observe(solving)
         stats.construction_seconds = construction
         stats.solving_seconds = solving
         stats.num_vars = problem.stats.num_vars

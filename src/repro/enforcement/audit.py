@@ -150,7 +150,6 @@ class AuditLog:
             self._count(record)
             if self._sampled_away(record):
                 self._sampled_out += 1
-                self._publish_retention("audit.sampled_out")
                 return record
             self.records.append(record)
             if self.window is not None and len(self.records) > self.window:
@@ -198,15 +197,6 @@ class AuditLog:
                     handle.write(json.dumps(record.to_dict(), sort_keys=True))
                     handle.write("\n")
             self._segments.append(path)
-        self._publish_retention("audit.rotated", len(evicted))
-
-    @staticmethod
-    def _publish_retention(counter: str, amount: int = 1) -> None:
-        from repro.obs import get_metrics
-
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(counter).inc(amount)
 
     def __len__(self) -> int:
         """Resident records (see ``summary()['decisions']`` for the exact

@@ -49,7 +49,6 @@ from repro.enforcement.pdp import (
     PromptCallback,
     deny_all_prompts,
 )
-from repro.obs import get_metrics
 
 #: A policy with its original position; candidates merge on this so
 #: indexed dispatch decides in exactly the order the list was installed.
@@ -187,15 +186,10 @@ class CompiledPolicyDecisionPoint(PolicyDecisionPoint):
     ) -> Optional[ECAPolicy]:
         key = cache_key(event_kind, event)
         cached = self._cache.get(key, _MISS)
-        metrics = get_metrics()
         if cached is not _MISS:
             self.cache_hits += 1
-            if metrics.enabled:
-                metrics.counter("pdp.cache.hits").inc()
             return cached
         self.cache_misses += 1
-        if metrics.enabled:
-            metrics.counter("pdp.cache.misses").inc()
         policy = self._compiled.match(event_kind, event)
         if policy is None or policy.action is PolicyAction.DENY:
             # Non-prompting resolutions only: a PROMPT match must consult

@@ -48,7 +48,6 @@ from typing import Callable, Deque, List, Optional, Sequence
 
 from repro.core.policy import ECAPolicy, IccEvent, PolicyAction, PolicyEvent
 from repro.enforcement.audit import AuditLog
-from repro.obs import get_metrics
 
 #: Default bound on the in-memory ``PolicyDecisionPoint.log`` window.
 #: The audit log is the unbounded (or rotation-managed) record; the
@@ -167,11 +166,6 @@ class PolicyDecisionPoint:
             prompt_approved=approved,
             context=context,
         )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(f"pdp.decisions.{decision.value}").inc()
-            if prompted:
-                metrics.counter("pdp.prompts").inc()
 
     def _match(
         self, event_kind: PolicyEvent, event: IccEvent

@@ -39,7 +39,6 @@ from repro.enforcement.runtime import (
     RuntimeIntent,
     _SEND_KIND,
 )
-from repro.obs import get_metrics
 
 
 class PolicyEnforcementPoint:
@@ -102,12 +101,6 @@ class PolicyEnforcementPoint:
                 self.allowed_deliveries += 1
             else:
                 self.blocked_deliveries += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("pep.allowed_deliveries").inc(len(allowed))
-            metrics.counter("pep.blocked_deliveries").inc(
-                len(matches) - len(allowed)
-            )
         if len(allowed) == len(matches):
             return  # nothing denied: let the framework dispatch normally
         # Replace the framework's own dispatch with the approved subset.

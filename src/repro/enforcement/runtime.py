@@ -45,7 +45,7 @@ from repro.dex.instructions import (
 )
 from repro.dex.program import DexMethod
 from repro.enforcement.hooks import HookManager, MethodCall
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 
 _MAX_DISPATCH = 10_000  # runaway-broadcast backstop, per activation
 _MAX_FRAMES = 256
@@ -97,6 +97,10 @@ class RuntimeIntent:
         return frozenset(merged)
 
     def to_model(self) -> ModelIntent:
+        """The model Intent that resolution matches: endpoints, action,
+        categories and data.  The payload is left out (no ``extras`` or
+        ``extra_keys``): matching never reads it, and the PEP reads
+        :attr:`carried_resources` itself."""
         return ModelIntent(
             sender=self.sender or "?",
             target=self.target,
@@ -104,8 +108,6 @@ class RuntimeIntent:
             categories=frozenset(self.categories),
             data_type=self.data_type,
             data_scheme=self.data_scheme,
-            extras=self.carried_resources,
-            extra_keys=frozenset(self.extras),
             wants_result=self.wants_result,
         )
 
@@ -332,7 +334,6 @@ class AndroidRuntime:
         activation starts from an empty queue.
         """
         tracer = get_tracer()
-        metrics = get_metrics()
         dispatched = 0
         while self._queue:
             dispatched += 1
@@ -340,8 +341,6 @@ class AndroidRuntime:
                 self._queue.clear()
                 raise RuntimeError("ICC dispatch budget exceeded")
             delivery = self._queue.popleft()
-            if metrics.enabled:
-                metrics.counter("runtime.dispatches").inc()
             if tracer.enabled:
                 with tracer.span(
                     "runtime.dispatch",
@@ -392,9 +391,6 @@ class AndroidRuntime:
     ) -> None:
         """Delivery half: permission checks, effects, queueing."""
         self.icc_sent += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("runtime.icc_sent").inc()
         kind = _SEND_KIND[signature]
         sender_app = sender.split("/", 1)[0]
         sender_perms = self.sender_permissions(sender)
@@ -411,8 +407,6 @@ class AndroidRuntime:
                 )
                 continue
             self.icc_delivered += 1
-            if metrics.enabled:
-                metrics.counter("runtime.icc_delivered").inc()
             self.effects.append(
                 Effect(
                     "icc_delivered",

@@ -1,7 +1,8 @@
 """Cost ledger: metered work attributed to who asked for it.
 
-The metrics registry answers "how much work did this process do"; the
-ledger answers "on whose behalf".  Every charge lands on a
+A run's metrics registry answers "how much work did this run do"; the
+ledger answers "on whose behalf".  Both are booked from the same
+per-task stats payloads.  Every charge lands on a
 ``(trace_id, device, bundle, signature)`` key, so a pipeline run's
 bundles and signatures, or a served device, each have an auditable
 account of the solver conflicts, propagations, decisions, clauses, cache
@@ -10,8 +11,9 @@ traffic, PDP cache hits, and wall-clock they consumed.
 A ledger has exactly one owner, and there is no process-wide one:
 
 - :meth:`repro.pipeline.AnalysisPipeline.run` charges a fresh ledger per
-  run, keyed ``(trace_id, bundle[, signature])``; its :meth:`entries`
-  become the run report's ``cost`` list.
+  run, next to the run's metrics registry, keyed
+  ``(trace_id, bundle[, signature])``; its :meth:`entries` become the run
+  report's ``cost`` list.
 - Each :class:`repro.service.DeviceSession` charges one
   ``CostKey(device=...)`` account; a request's reply cost is what that
   account grew by while the request ran.

@@ -301,8 +301,6 @@ def render_prometheus(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-#: Cost-ledger meters whose values are counts (exported as counters);
-#: ``wall_seconds`` is also monotonic per account and exports the same way.
 def cost_metrics_snapshot(
     entries: Iterable[Dict[str, Any]],
 ) -> Dict[str, Dict[str, Any]]:

@@ -1,19 +1,16 @@
-"""A process-local metrics registry: counters, gauges, histograms.
+"""Counters, gauges and histograms, held in a :class:`MetricsRegistry`.
 
-Instrumented subsystems publish here -- the SAT solver its
-conflicts/decisions/propagations, the static analyses their CFG/call-graph
-/taint sizes, the cache its hits and misses, the pipeline executor its
-task counts.  The registry is thread-safe (instrument creation is locked;
-updates touch per-instrument state under the GIL-atomic operations used
-below) and process-local: each pipeline task runs under a fresh registry
-(when the dispatching parent collects) and ships its
-:meth:`MetricsRegistry.snapshot` back with its result, which the parent
-folds in with :meth:`MetricsRegistry.merge`.
+A registry has one owner, which creates it and is the only code that
+counts into it: each pipeline run (:meth:`repro.pipeline.AnalysisPipeline.run`
+books cache traffic, solver and engine work from the payloads it
+computed, and its own task counts) and the ``repro serve`` daemon
+(:class:`repro.service.PolicyService`: request, latency, heartbeat and
+session series).  Library code publishes nothing: the solver, the
+engine, the cache and the enforcement layer keep their own counters,
+and their owners read those.  There is no process-global registry.
 
-The default registry is :data:`NULL_METRICS`: every instrument method is
-a no-op on a shared singleton, so disabled instrumentation costs one
-method call and records nothing.  Enable collection with
-:func:`enable_metrics`.
+A registry is thread-safe: instrument creation is locked, and updates
+touch per-instrument state under the GIL-atomic operations used below.
 """
 
 from __future__ import annotations
@@ -137,8 +134,6 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments, created on first use."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[str, Any] = {}
@@ -148,8 +143,6 @@ class MetricsRegistry:
         if instrument is None:
             with self._lock:
                 instrument = self._instruments.setdefault(name, factory(name))
-        if not isinstance(instrument, (Counter, Gauge, Histogram)):
-            raise TypeError(f"metric {name!r} already registered")
         return instrument
 
     def counter(self, name: str) -> Counter:
@@ -184,139 +177,3 @@ class MetricsRegistry:
         with self._lock:
             items = sorted(self._instruments.items())
         return {name: instrument.to_dict() for name, instrument in items}
-
-    def reset(self) -> None:
-        with self._lock:
-            self._instruments.clear()
-
-    def merge(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry: counters and histogram sums add, min/max widen, gauges
-        take the incoming value (last write wins).
-
-        Bucketed histograms merge by three rules: identical boundaries
-        add element-wise, a fresh (never-observed, unbucketed) local
-        histogram adopts the incoming boundaries, and any other pairing
-        widens to the unbucketed summary (count/sum/min/max are always
-        preserved).  Merging is therefore total: it degrades resolution,
-        never raises and never invents counts.
-        """
-        for name, data in snapshot.items():
-            kind = data.get("type")
-            if kind == "counter":
-                self.counter(name).inc(data.get("value", 0))
-            elif kind == "gauge":
-                self.gauge(name).set(data.get("value", 0.0))
-            elif kind == "histogram":
-                hist = self.histogram(name)
-                fresh = hist.count == 0 and not hist.bounds
-                hist.count += data.get("count", 0)
-                hist.total += data.get("sum", 0.0)
-                for bound, widen in (("min", min), ("max", max)):
-                    incoming = data.get(bound)
-                    if incoming is None:
-                        continue
-                    current = getattr(hist, bound)
-                    setattr(
-                        hist,
-                        bound,
-                        incoming if current is None else widen(current, incoming),
-                    )
-                in_bounds = _normalize_bounds(data.get("bounds"))
-                in_counts = list(data.get("buckets", ()))
-                if fresh and in_bounds:
-                    hist.bounds = in_bounds
-                    hist.bucket_counts = in_counts or [0] * (len(in_bounds) + 1)
-                elif hist.bounds == in_bounds:
-                    for i, n in enumerate(in_counts):
-                        hist.bucket_counts[i] += n
-                else:
-                    # Differing bounds: widen to the unbucketed summary.
-                    hist.bounds = ()
-                    hist.bucket_counts = []
-
-
-class _NullInstrument:
-    """Shared do-nothing counter/gauge/histogram."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = 0.0
-    bounds = ()
-    bucket_counts: List[int] = []
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        return []
-
-    def inc(self, amount: int = 1) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """The disabled registry: hands out one shared no-op instrument."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        pass
-
-    def counter(self, name: str) -> Counter:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str) -> Gauge:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, bounds: Optional[Iterable[float]] = None
-    ) -> Histogram:  # type: ignore[override]
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        return {}
-
-    def reset(self) -> None:
-        return None
-
-    def merge(self, snapshot: Dict[str, Dict[str, Any]]) -> None:
-        return None
-
-
-NULL_METRICS = NullMetricsRegistry()
-_metrics: MetricsRegistry = NULL_METRICS
-
-
-def get_metrics() -> MetricsRegistry:
-    return _metrics
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` globally; returns the previous registry."""
-    global _metrics
-    previous = _metrics
-    _metrics = registry
-    return previous
-
-
-def enable_metrics() -> MetricsRegistry:
-    """Install (and return) a fresh collecting registry.  Pipeline tasks
-    collect into registries of their own and report back to it."""
-    registry = MetricsRegistry()
-    set_metrics(registry)
-    return registry

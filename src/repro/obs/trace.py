@@ -21,7 +21,10 @@ and writes each one as a ``progress`` event line.
 The default tracer is :data:`NULL_TRACER`: ``span()`` returns a shared
 singleton context manager that records nothing, writes nothing, and
 allocates nothing, so instrumented code pays only a method call when
-tracing is disabled.
+tracing is disabled.  Importing this module installs nothing and opens
+no file; a tracer is installed by :func:`enable_tracing` or
+:func:`set_tracer` (the CLI does so for ``--trace``, ``--watch`` and the
+``REPRO_TRACE`` environment variable).
 """
 
 from __future__ import annotations
@@ -48,16 +51,6 @@ from typing import (
 
 if TYPE_CHECKING:  # progress imports this module; annotation only
     from repro.obs.progress import ProgressSnapshot
-
-#: Environment variable holding a trace-file path, read once at import:
-#: the one way to trace commands that install no tracer themselves
-#: (``repro serve``, ``demo``, ``analyze``).
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable giving that import-time tracer its heartbeat
-#: interval in conflicts (a non-numeric or non-positive value means
-#: :data:`DEFAULT_INTERVAL`; unset means no heartbeats).
-PROGRESS_ENV = "REPRO_PROGRESS"
 
 #: Heartbeat every this-many conflicts unless configured otherwise:
 #: frequent enough to watch a live solve, rare enough to cost nothing
@@ -421,26 +414,8 @@ class JsonlTracer(Tracer):
             self._fd = -1
 
 
-def _interval_from_env(value: Optional[str]) -> int:
-    if not value:
-        return 0
-    try:
-        parsed = int(value)
-    except ValueError:
-        return DEFAULT_INTERVAL
-    return parsed if parsed > 0 else DEFAULT_INTERVAL
-
-
 NULL_TRACER = NullTracer()
 _tracer: Tracer = NULL_TRACER
-
-_env_path = os.environ.get(TRACE_ENV)
-if _env_path:
-    _tracer = JsonlTracer(
-        _env_path,
-        heartbeat_interval=_interval_from_env(os.environ.get(PROGRESS_ENV)),
-    )
-del _env_path
 
 
 def get_tracer() -> Tracer:

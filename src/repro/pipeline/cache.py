@@ -36,7 +36,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs import get_metrics
 from repro.pipeline.stats import CacheAccounting
 
 #: Bump to invalidate every persisted entry (envelope format change).
@@ -323,13 +322,10 @@ class PipelineCache:
 
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
         path = self._path(namespace, key)
-        metrics = get_metrics()
         try:
             envelope = json.loads(path.read_text())
         except (OSError, ValueError):
             self.accounting.record_miss(namespace)
-            if metrics.enabled:
-                metrics.counter(f"cache.{namespace}.misses").inc()
             return None
         if not (
             isinstance(envelope, dict)
@@ -339,17 +335,12 @@ class PipelineCache:
             # A stale format version, or valid JSON that is no envelope.
             self.accounting.record_invalidation(namespace)
             self.accounting.record_miss(namespace)
-            if metrics.enabled:
-                metrics.counter(f"cache.{namespace}.invalidations").inc()
-                metrics.counter(f"cache.{namespace}.misses").inc()
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
         self.accounting.record_hit(namespace)
-        if metrics.enabled:
-            metrics.counter(f"cache.{namespace}.hits").inc()
         return envelope["payload"]
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
@@ -358,9 +349,6 @@ class PipelineCache:
         # could never improve on it.  Refuse the write and count it.
         if isinstance(payload, dict) and payload.get("incomplete"):
             self.accounting.record_rejection(namespace)
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter(f"cache.{namespace}.rejections").inc()
             return
         path = self._path(namespace, key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -420,7 +408,6 @@ class MemoryCache(PipelineCache):
         self._lock = threading.Lock()
 
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
-        metrics = get_metrics()
         with self._lock:
             bucket = self._entries.get(namespace)
             text = bucket.get(key) if bucket is not None else None
@@ -428,20 +415,13 @@ class MemoryCache(PipelineCache):
                 bucket.move_to_end(key)
         if text is None:
             self.accounting.record_miss(namespace)
-            if metrics.enabled:
-                metrics.counter(f"cache.{namespace}.misses").inc()
             return None
         self.accounting.record_hit(namespace)
-        if metrics.enabled:
-            metrics.counter(f"cache.{namespace}.hits").inc()
         return json.loads(text)
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:
         if isinstance(payload, dict) and payload.get("incomplete"):
             self.accounting.record_rejection(namespace)
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.counter(f"cache.{namespace}.rejections").inc()
             return
         text = json.dumps(payload, sort_keys=True)
         with self._lock:
@@ -474,9 +454,6 @@ class NullCache(PipelineCache):
 
     def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
         self.accounting.record_miss(namespace)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter(f"cache.{namespace}.misses").inc()
         return None
 
     def put(self, namespace: str, key: str, payload: Dict[str, Any]) -> None:

@@ -23,10 +23,9 @@ with exponential backoff, and crash isolation -- by one round-based
 loop, whether a round runs in a process pool (``submit`` + futures) or
 in-process (``jobs <= 1``, a single task, or no process support).  A
 worker crash (``BrokenProcessPool``) kills only that pool generation:
-completed results and their already-merged metrics are kept, unstarted
-tasks are resubmitted at no attempt cost, and the tasks that were in
-flight are re-run one at a time so a repeat crash is attributed to the
-task that caused it.  A per-task timeout likewise kills only the
+completed results are kept, unstarted tasks are resubmitted at no
+attempt cost, and the tasks that were in flight are re-run one at a time
+so a repeat crash is attributed to the task that caused it.  A per-task timeout likewise kills only the
 generation: the victims are charged an attempt, while healthy in-flight
 peers are resubmitted for free.  A task that keeps failing becomes a
 structured :class:`TaskFailure` in ``RunReport.failures`` instead of
@@ -35,10 +34,13 @@ payload recorded in ``RunReport.degraded`` (and is never cached).
 
 Telemetry: every task runs through :func:`_run_task` under a telemetry
 envelope the parent builds once per map -- the dispatch span's trace
-context, the trace file, the heartbeat interval and whether metrics are
-on -- and returns its payload with the metrics snapshot it collected,
-which the parent merges.  The envelope is the only telemetry channel
-into workers, so forked and spawned pools trace and count alike.
+context, the trace file and the heartbeat interval -- and returns its
+payload.  The envelope is the only telemetry channel into workers, so
+forked and spawned pools trace alike.  Workers count nothing: the run's
+:class:`~repro.obs.MetricsRegistry` lives in the orchestrator, which
+books each metric from its one owner -- the cache's accounting, the
+stats inside each payload it received, the extraction outcomes and its
+own retry loop -- exactly once, so a pool break cannot double-count.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from repro.core.separ import Separ, SeparReport
 from repro.core.synthesis import AnalysisAndSynthesisEngine
 from repro.core.vulnerabilities import default_signatures, lookup
 from repro.obs import (
-    NULL_METRICS,
     CostKey,
     CostLedger,
     JsonlTracer,
@@ -81,10 +82,8 @@ from repro.obs import (
     aggregate_spans,
     current_trace_context,
     current_trace_id,
-    get_metrics,
     get_tracer,
     read_trace,
-    set_metrics,
     set_tracer,
 )
 from repro.pipeline.cache import (
@@ -242,22 +241,16 @@ def _shared_synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
     return synthesis_payload(result)
 
 
-def _run_task(
-    fn: Callable[[T], R], telemetry: Dict[str, Any], task: T
-) -> Tuple[R, Dict[str, Any]]:
+def _run_task(fn: Callable[[T], R], telemetry: Dict[str, Any], task: T) -> R:
     """Run one pipeline task under the dispatching run's telemetry.
 
     Every task runs through here, in a pool worker or in-process alike.
     ``telemetry`` is the envelope :meth:`AnalysisPipeline._map` builds
     once per map: the dispatch span's :class:`~repro.obs.TraceContext`
     (worker spans parent under it and carry the run's trace id), the
-    trace file and heartbeat interval, and whether metrics are on.  A
-    process whose tracer does not already write to that file -- a
-    spawned worker, on its first task -- installs one.  The task runs
-    under a fresh registry when metrics are on (the no-op one when off),
-    and returns that registry's snapshot with its payload: a forked
-    worker never resets an inherited registry, and an in-process task
-    never writes into the parent's directly.
+    trace file and the heartbeat interval.  A process whose tracer does
+    not already write to that file -- a spawned worker, on its first
+    task -- installs one.
     """
     path = telemetry["trace_path"]
     if path is not None and getattr(get_tracer(), "path", None) != path:
@@ -266,14 +259,8 @@ def _run_task(
                 path, heartbeat_interval=telemetry["heartbeat_interval"]
             )
         )
-    registry = MetricsRegistry() if telemetry["metrics"] else NULL_METRICS
-    previous = set_metrics(registry)
-    try:
-        with adopt_trace_context(telemetry["trace"]):
-            payload = fn(task)
-    finally:
-        set_metrics(previous)
-    return payload, registry.snapshot()
+    with adopt_trace_context(telemetry["trace"]):
+        return fn(task)
 
 
 #: The ``(fn, items)`` of the pool round a forked worker was started
@@ -295,24 +282,73 @@ def _run_adopted(idx: int) -> Any:
 
 
 # ----------------------------------------------------------------------
+# The run's metrics, booked from the objects that count them
+
+#: Counters booked from a computed synthesis payload's ``stats``.
+_STATS_COUNTERS = (
+    ("sat.solver_calls", "solver_calls"),
+    ("sat.conflicts", "conflicts"),
+    ("sat.decisions", "decisions"),
+    ("sat.propagations", "propagations"),
+    ("ase.translations", "translations"),
+    ("ase.translations_avoided", "translations_avoided"),
+    ("ase.clauses_shared", "clauses_shared"),
+    ("ase.learned_carried", "learned_carried"),
+)
+
+#: ``stats`` fields observed once per computed payload as ``ase.<field>``.
+_STATS_HISTOGRAMS = (
+    "num_vars",
+    "num_clauses",
+    "construction_seconds",
+    "solving_seconds",
+)
+
+
+def _book_synthesis(
+    metrics: MetricsRegistry, payload: Dict[str, Any]
+) -> None:
+    """Count the solver and engine work of one payload this run computed."""
+    stats = payload.get("stats", {})
+    for name, field in _STATS_COUNTERS:
+        metrics.counter(name).inc(stats.get(field, 0))
+    metrics.counter("ase.signature_runs").inc(
+        len(stats.get("per_signature", {}))
+    )
+    metrics.counter("ase.scenarios").inc(len(payload.get("scenarios", ())))
+    if stats.get("exhausted"):
+        metrics.counter("ase.budget_exhausted").inc()
+    for field in _STATS_HISTOGRAMS:
+        metrics.histogram(f"ase.{field}").observe(stats.get(field, 0))
+
+
+def _book_cache(
+    metrics: MetricsRegistry,
+    namespace: str,
+    before: Dict[str, int],
+    after: Dict[str, int],
+) -> None:
+    """Count what one stage's cache traffic added to the cache's
+    accounting (``CacheAccounting.counts`` before and after the stage)."""
+    for kind, count in after.items():
+        if count > before[kind]:
+            metrics.counter(f"cache.{namespace}.{kind}").inc(
+                count - before[kind]
+            )
+
 
 def attach_observability(
     report: RunReport, trace_path: Optional[str] = None
 ) -> RunReport:
-    """Fold the active observability state into a run report.
+    """Fold the run's spans into a run report.
 
-    Copies the global metrics registry's snapshot into ``report.metrics``
-    (when collection is enabled) and aggregates span records into
-    ``report.spans`` -- from ``trace_path`` if given, else from the
-    global tracer (in-memory records, or the JSONL file a
-    :class:`JsonlTracer` appends to, which also contains the worker
-    processes' spans).  No-op on both fields when observability is
-    disabled.  ``report.cost`` is not touched: the run that filled the
-    report wrote its own ledger there.
+    Aggregates span records into ``report.spans`` -- from ``trace_path``
+    if given, else from the global tracer (in-memory records, or the
+    JSONL file a :class:`JsonlTracer` appends to, which also contains the
+    worker processes' spans).  No-op when tracing is disabled.
+    ``report.metrics`` and ``report.cost`` are not touched: the run that
+    filled the report wrote its own registry and ledger there.
     """
-    metrics = get_metrics()
-    if metrics.enabled:
-        report.metrics = metrics.snapshot()
     records = None
     if trace_path is not None:
         records = read_trace(trace_path)
@@ -416,6 +452,7 @@ class AnalysisPipeline:
         items: Sequence[T],
         stage: str,
         labels: Sequence[str],
+        metrics: MetricsRegistry,
     ) -> List[_TaskOutcome]:
         """Order-preserving fault-tolerant map, parallel when jobs > 1.
 
@@ -424,7 +461,8 @@ class AnalysisPipeline:
         exhausting its retries.  The telemetry envelope is captured here,
         while the dispatching stage span is current, and every task runs
         as ``_run_task(fn, telemetry, task)``; a partial of module-level
-        functions stays picklable under both fork and spawn.
+        functions stays picklable under both fork and spawn.  Retries,
+        timeouts, pool breaks and failures are counted into ``metrics``.
         """
         if not items:
             return []
@@ -434,10 +472,13 @@ class AnalysisPipeline:
             "trace": current_trace_context(),
             "trace_path": getattr(tracer, "path", None),
             "heartbeat_interval": tracer.heartbeat_interval,
-            "metrics": get_metrics().enabled,
         }
         return self._run_pooled(
-            functools.partial(_run_task, fn, telemetry), items, labels, stage
+            functools.partial(_run_task, fn, telemetry),
+            items,
+            labels,
+            stage,
+            metrics,
         )
 
     def _run_pooled(
@@ -446,6 +487,7 @@ class AnalysisPipeline:
         items: Sequence[T],
         labels: Sequence[str],
         stage: str,
+        metrics: MetricsRegistry,
     ) -> List[_TaskOutcome]:
         """Per-task dispatch over successive rounds.
 
@@ -454,14 +496,12 @@ class AnalysisPipeline:
         start (restricted environments) -- the rest of the map then runs
         in-process.  A pool round ends when its pool breaks (worker crash)
         or a task overruns the timeout, killing only that generation.
-        Completed tasks keep their results, and their metrics snapshots
-        are merged exactly once; unstarted tasks and healthy tasks in
-        flight when a peer's timeout killed the generation are requeued at
-        no attempt cost; tasks in flight at a crash are re-run one per
-        pool so a repeat crash is attributed to the task that caused it
-        (crash isolation).
+        Completed tasks keep their results; unstarted tasks and healthy
+        tasks in flight when a peer's timeout killed the generation are
+        requeued at no attempt cost; tasks in flight at a crash are re-run
+        one per pool so a repeat crash is attributed to the task that
+        caused it (crash isolation).
         """
-        metrics = get_metrics()
         policy = self.faults
         n = len(items)
         outcomes: List[Optional[_TaskOutcome]] = [None] * n
@@ -485,12 +525,6 @@ class AnalysisPipeline:
                     - first_try.get(idx, time.perf_counter()),
                 )
             )
-
-        def record_success(idx: int, result: Any) -> None:
-            payload, snapshot = result
-            if snapshot:
-                metrics.merge(snapshot)
-            outcomes[idx] = _TaskOutcome(payload=payload)
 
         def consume_attempt(idx: int, kind: str, message: str) -> None:
             nonlocal retry_sleep
@@ -530,7 +564,7 @@ class AnalysisPipeline:
                 round_result = self._in_process_round(fn, items, round_ids)
             for idx, (status, value) in round_result.completed.items():
                 if status == "ok":
-                    record_success(idx, value)
+                    outcomes[idx] = _TaskOutcome(payload=value)
                 else:
                     consume_attempt(idx, "error", value)
             for idx in round_result.timed_out:
@@ -752,6 +786,7 @@ class AnalysisPipeline:
         run_report: RunReport,
         payload_task: Dict[str, Any],
         payload: Dict[str, Any],
+        metrics: MetricsRegistry,
     ) -> None:
         """Record budget-exhausted synthesis at signature granularity.
 
@@ -760,7 +795,6 @@ class AnalysisPipeline:
         hit the budget (the rest of the bundle's signatures completed),
         so both modes report the same degradation boundary.
         """
-        metrics = get_metrics()
         packages = ",".join(
             sorted(a["package"] for a in payload_task["apps"])
         )
@@ -796,17 +830,22 @@ class AnalysisPipeline:
         apks: Sequence[Apk],
         report: Optional[RunReport] = None,
         ledger: Optional[CostLedger] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> List[Optional[AppModel]]:
         """Extract app models, fanning cache misses out across processes.
 
         Returns a list aligned with ``apks``; an entry is ``None`` when
         that app's extraction ultimately failed (the failure is recorded
         in ``report.failures`` and the app is excluded from its bundle).
-        Each app's cache hit or miss is charged to ``ledger`` (a fresh
-        one unless :meth:`run` passes its own), whose entries become
-        ``report.cost``.
+        Each app's cache hit or miss is charged to ``ledger``, and the
+        stage's cache traffic, extracted apps and task retries are
+        counted into ``metrics`` (fresh ones unless :meth:`run` passes
+        its own); their entries and snapshot become ``report.cost`` and
+        ``report.metrics``.
         """
         ledger = ledger if ledger is not None else CostLedger()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        cache_before = self.cache.accounting.counts("extract")
         start = time.perf_counter()
         with get_tracer().span("pipeline.extract", apps=len(apks)) as stage:
             fingerprint = framework_fingerprint()
@@ -834,6 +873,7 @@ class AnalysisPipeline:
                 ],
                 stage="extract",
                 labels=[apks[i].package for i in miss_indices],
+                metrics=metrics,
             )
             failures: List[TaskFailure] = []
             tid = current_trace_id() or ""
@@ -848,6 +888,7 @@ class AnalysisPipeline:
                 if outcome.ok:
                     self.cache.put("extract", keys[index], outcome.payload)
                     dicts[index] = outcome.payload
+                    metrics.counter("ame.apps_extracted").inc()
                     ledger.charge(
                         CostKey(trace_id=tid, bundle=apks[index].package),
                         cache_misses=1,
@@ -863,29 +904,39 @@ class AnalysisPipeline:
                 serialize.app_from_dict(d) if d is not None else None
                 for d in dicts
             ]
+        _book_cache(
+            metrics,
+            "extract",
+            cache_before,
+            self.cache.accounting.counts("extract"),
+        )
         if report is not None:
             report.add_stage("extract", time.perf_counter() - start)
             report.num_apps += sum(1 for m in models if m is not None)
             report.failures.extend(f.to_dict() for f in failures)
             report.cache = self.cache.accounting
             report.cost = ledger.entries()
+            report.metrics = metrics.snapshot()
         return models
 
     # ------------------------------------------------------------------
     def run(self, bundles: Sequence[Sequence[Apk]]) -> PipelineResult:
         """Analyze every bundle: extraction, synthesis, policies, detection.
 
-        Both stages charge one ledger created for this run, so
-        ``run_report.cost`` lists the run's accounts in charge order.
+        Both stages charge one ledger and count into one metrics registry
+        created for this run, so ``run_report.cost`` lists the run's
+        accounts in charge order and ``run_report.metrics`` holds the
+        run's counts and nothing else.
         """
         run_report = RunReport(jobs=self.jobs)
         ledger = CostLedger()
+        metrics = MetricsRegistry()
         with get_tracer().span(
             "pipeline.run", jobs=self.jobs, bundles=len(bundles)
         ):
             all_apks = [apk for bundle in bundles for apk in bundle]
             models = self.extract_apps(
-                all_apks, report=run_report, ledger=ledger
+                all_apks, report=run_report, ledger=ledger, metrics=metrics
             )
             bundle_models: List[BundleModel] = []
             cursor = 0
@@ -905,7 +956,10 @@ class AnalysisPipeline:
                 )
                 cursor += size
             result = self.analyze_bundles(
-                bundle_models, run_report=run_report, ledger=ledger
+                bundle_models,
+                run_report=run_report,
+                ledger=ledger,
+                metrics=metrics,
             )
         return result
 
@@ -914,15 +968,21 @@ class AnalysisPipeline:
         bundle_models: Sequence[BundleModel],
         run_report: Optional[RunReport] = None,
         ledger: Optional[CostLedger] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> PipelineResult:
         """Synthesis + policy derivation + detection over extracted bundles.
 
         Each task's cache hit, or miss plus solver stats, is charged to
-        ``ledger`` (a fresh one unless :meth:`run` passes its own), whose
-        entries become ``run_report.cost``.
+        ``ledger``; the stage's cache traffic, the solver and engine work
+        of every payload it computed and its task retries are counted
+        into ``metrics`` (fresh ones unless :meth:`run` passes its own).
+        Their entries and snapshot become ``run_report.cost`` and
+        ``run_report.metrics``; a cached payload adds a cache hit only.
         """
         run_report = run_report if run_report is not None else RunReport(jobs=self.jobs)
         ledger = ledger if ledger is not None else CostLedger()
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        cache_before = self.cache.accounting.counts("synthesis")
         run_report.num_bundles += len(bundle_models)
         tracer = get_tracer()
         params = engine_params(
@@ -989,6 +1049,7 @@ class AnalysisPipeline:
                 task_payloads,
                 stage="synthesis",
                 labels=[label(t) for t in task_payloads],
+                metrics=metrics,
             )
             tid = current_trace_id() or ""
 
@@ -1019,13 +1080,22 @@ class AnalysisPipeline:
                 key = account(index)
                 ledger.charge(key, cache_misses=1)
                 ledger.charge_stats(key, payload.get("stats", {}))
+                _book_synthesis(metrics, payload)
                 if payload.get("incomplete"):
                     # Budget-exhausted: keep the partial scenarios and
                     # report the degradation.  The cache refuses incomplete
                     # payloads (recording a rejection), so a later run with
                     # more budget must redo the work.
-                    self._record_degraded(run_report, payload_task, payload)
+                    self._record_degraded(
+                        run_report, payload_task, payload, metrics
+                    )
                 self.cache.put("synthesis", keys[index], payload)
+        _book_cache(
+            metrics,
+            "synthesis",
+            cache_before,
+            self.cache.accounting.counts("synthesis"),
+        )
         run_report.add_stage("synthesis", time.perf_counter() - start)
 
         # Reassemble in (bundle, signature) index order: exactly the order
@@ -1061,5 +1131,6 @@ class AnalysisPipeline:
         run_report.add_stage("assemble", time.perf_counter() - start)
         run_report.cache = self.cache.accounting
         run_report.cost = ledger.entries()
+        run_report.metrics = metrics.snapshot()
         attach_observability(run_report)
         return PipelineResult(reports=reports, run_report=run_report)

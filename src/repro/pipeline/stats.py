@@ -93,6 +93,15 @@ class CacheAccounting:
     def record_rejection(self, namespace: str) -> None:
         self.rejections[namespace] = self.rejections.get(namespace, 0) + 1
 
+    def counts(self, namespace: str) -> Dict[str, int]:
+        """One namespace's four counts so far, by kind."""
+        return {
+            "hits": self.hits.get(namespace, 0),
+            "misses": self.misses.get(namespace, 0),
+            "invalidations": self.invalidations.get(namespace, 0),
+            "rejections": self.rejections.get(namespace, 0),
+        }
+
     @property
     def total_hits(self) -> int:
         return sum(self.hits.values())
@@ -193,11 +202,12 @@ class SynthesisStatsLike:
 class RunReport:
     """The machine-readable record of one pipeline run.
 
-    ``spans`` and ``metrics`` are populated only when observability is
-    enabled for the run: ``spans`` carries the per-span-name roll-up of a
-    JSONL trace (:func:`repro.obs.view.aggregate_spans` output),
-    ``metrics`` a :meth:`repro.obs.metrics.MetricsRegistry.snapshot`.
-    ``cost`` is always filled: the entries of the run's own cost ledger
+    ``spans`` is populated only when tracing is enabled for the run: the
+    per-span-name roll-up of a JSONL trace
+    (:func:`repro.obs.view.aggregate_spans` output).  ``metrics`` and
+    ``cost`` are always filled: the
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` of the run's own
+    registry, and the entries of its own cost ledger
     (:meth:`repro.obs.cost.CostLedger.entries` rows keyed by
     ``trace_id``/``device``/``bundle``/``signature``, in charge order).
     All default to empty and serialize round-trip losslessly.

@@ -61,7 +61,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs import ProgressSnapshot, get_metrics, get_tracer
+from repro.obs import ProgressSnapshot, get_tracer
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
@@ -797,7 +797,6 @@ class FastSolver:
                         conflict_budget is not None
                         and self._conflicts >= conflict_budget
                     ):
-                        self._publish_metrics("budget_exhausted")
                         raise BudgetExhausted(
                             self._conflicts,
                             decisions=self._decisions,
@@ -894,16 +893,6 @@ class FastSolver:
             ),
         )
 
-    def _publish_metrics(self, outcome: str) -> None:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("sat.solver_calls").inc()
-            metrics.counter("sat.conflicts").inc(self._conflicts)
-            metrics.counter("sat.decisions").inc(self._decisions)
-            metrics.counter("sat.propagations").inc(self._propagations)
-            metrics.counter("sat.restarts").inc(self._restarts)
-            metrics.counter(f"sat.results.{outcome}").inc()
-
     def _finish(self, sat: bool) -> SolveResult:
         model: Optional[Model] = None
         if sat:
@@ -911,7 +900,6 @@ class FastSolver:
                 {e >> 1: not e & 1 for e in self._trail}
             )
         self._cancel_until(len(self._seated))
-        self._publish_metrics("sat" if sat else "unsat")
         return SolveResult(
             satisfiable=sat,
             model=model,

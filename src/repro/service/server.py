@@ -15,12 +15,13 @@ Architecture (see ``docs/SERVICE.md``):
   semantics (``conflict_budget`` / ``time_budget_seconds`` on the
   engine): an over-budget synthesis degrades to a partial result and the
   response says so, rather than a thread being killed mid-solve;
-- a heartbeat task exports liveness + per-session gauges (resident
-  bundles, warm-hit rate, queue depth) through the metrics registry,
-  and the optional scrape endpoint
-  (:func:`repro.obs.export.make_metrics_server`) serves them, with each
-  device's cost account as ``repro_cost_*`` series, as Prometheus text
-  at ``GET /metrics``;
+- the service owns one metrics registry: the connection handler counts
+  requests, errors and latency into it, a heartbeat task liveness and
+  stalls, and each batch refreshes the per-session gauges (resident
+  bundles, warm-hit rate, queue depth); the optional scrape endpoint
+  (:func:`repro.obs.export.make_metrics_server`) serves that registry,
+  with each device's cost account as ``repro_cost_*`` series, as
+  Prometheus text at ``GET /metrics``;
 - every device-op reply carries its request's ``cost``: what the
   device's account grew by while the request ran;
 - shutdown (the ``shutdown`` op, :meth:`PolicyService.request_shutdown`,
@@ -47,9 +48,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import (
     COST_FIELDS,
+    MetricsRegistry,
     TraceContext,
     adopt_trace_context,
-    get_metrics,
     get_tracer,
     new_trace_id,
 )
@@ -117,6 +118,19 @@ class PolicyService:
         self._t0 = time.monotonic()
         self.address: Optional[Tuple[str, int]] = None
         self.metrics_address: Optional[Tuple[str, int]] = None
+        #: The daemon's series; this service is the only code counting
+        #: into it (the scrape adds the devices' cost accounts).
+        self.metrics = MetricsRegistry()
+        self._requests = self.metrics.counter("service.requests")
+        self._errors = self.metrics.counter("service.errors")
+        self._latency = self.metrics.histogram(
+            "service.request_seconds", bounds=LATENCY_BOUNDS
+        )
+        self._heartbeats = self.metrics.counter("service.heartbeats")
+        self._stalls = self.metrics.counter("service.stalls")
+        self._uptime = self.metrics.gauge("service.uptime_seconds")
+        self._sessions_gauge = self.metrics.gauge("service.sessions")
+        self._queue_gauge = self.metrics.gauge("service.queue_depth")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -228,7 +242,6 @@ class PolicyService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        metrics = get_metrics()
         try:
             while not self._shutdown.is_set():
                 try:
@@ -256,13 +269,10 @@ class PolicyService:
                     continue
                 start = time.perf_counter()
                 response, close = await self._respond(line)
-                if metrics.enabled:
-                    metrics.counter("service.requests").inc()
-                    metrics.histogram(
-                        "service.request_seconds", bounds=LATENCY_BOUNDS
-                    ).observe(time.perf_counter() - start)
-                    if not response.get("ok"):
-                        metrics.counter("service.errors").inc()
+                self._requests.inc()
+                self._latency.observe(time.perf_counter() - start)
+                if not response.get("ok"):
+                    self._errors.inc()
                 writer.write(protocol.encode_message(response))
                 await writer.drain()
                 if close:
@@ -361,9 +371,7 @@ class PolicyService:
             self._workers[device] = asyncio.ensure_future(
                 self._device_worker(device)
             )
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.gauge("service.sessions").set(len(self.sessions))
+            self._sessions_gauge.set(len(self.sessions))
         return queue
 
     async def _device_worker(self, device: str) -> None:
@@ -463,9 +471,7 @@ class PolicyService:
     def _update_session_gauges(
         self, device: str, session: DeviceSession
     ) -> None:
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
+        metrics = self.metrics
         prefix = f"service.session.{device}"
         metrics.gauge(f"{prefix}.apps").set(len(session.packages()))
         metrics.gauge(f"{prefix}.warm_hit_rate").set(session.warm_hit_rate)
@@ -475,17 +481,14 @@ class PolicyService:
         metrics.gauge(f"{prefix}.syntheses").set(session.syntheses)
 
     async def _heartbeat(self) -> None:
-        metrics = get_metrics()
         interval = max(0.05, self.config.heartbeat_seconds)
         while True:
-            if metrics.enabled:
-                metrics.counter("service.heartbeats").inc()
-                metrics.gauge("service.uptime_seconds").set(
-                    time.monotonic() - self._t0
-                )
-                metrics.gauge("service.sessions").set(len(self.sessions))
-                depth = sum(q.qsize() for q in self._queues.values())
-                metrics.gauge("service.queue_depth").set(depth)
+            self._heartbeats.inc()
+            self._uptime.set(time.monotonic() - self._t0)
+            self._sessions_gauge.set(len(self.sessions))
+            self._queue_gauge.set(
+                sum(q.qsize() for q in self._queues.values())
+            )
             now = time.monotonic()
             for device, since in self._busy_since.items():
                 if since is None or now - since < self.config.stall_seconds:
@@ -494,8 +497,7 @@ class PolicyService:
                     # Flag each stalled batch once; the engine budgets
                     # are what actually bound it.
                     self._stalled[device] = True
-                    if metrics.enabled:
-                        metrics.counter("service.stalls").inc()
+                    self._stalls.inc()
             await asyncio.sleep(interval)
 
     def _global_status(self) -> Dict[str, Any]:
@@ -571,10 +573,9 @@ class PolicyService:
     def _start_metrics(self) -> None:
         if self.config.metrics_port is None:
             return
-        registry = get_metrics()
 
         def snapshot() -> Dict[str, Any]:
-            data = dict(registry.snapshot())
+            data = dict(self.metrics.snapshot())
             # Cost series ride the same scrape, one labeled sample per
             # device account: a device's series equal the sum of its
             # replies' `cost` fields.

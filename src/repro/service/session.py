@@ -411,7 +411,10 @@ class DeviceSession:
             return self._report
         bundle = self.current_bundle()
         result = synthesis_result([self._synthesis_payload(bundle)])
-        self._report = Separ.assemble_report(bundle, result)
+        # The analyzer detected this composition at the last mutation.
+        self._report = Separ.assemble_report(
+            bundle, result, detection=self.analyzer.report
+        )
         # The existing invalidation protocol: assigning the policy list
         # recompiles the compiled backend's index and flushes its
         # decision cache.  The audit log carries across refreshes.

@@ -19,7 +19,7 @@ from typing import List, Set
 
 from repro.android.apk import Apk
 from repro.android.components import ComponentKind
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.core.model import (
     AppModel,
     BundleModel,
@@ -55,39 +55,34 @@ class ModelExtractor:
 
     def _extract(self, apk: Apk, tracer) -> AppModel:
         start = time.perf_counter()
-        with tracer.span("ame.callgraph"):
+        # Each analysis's size rides on the span that times it.
+        with tracer.span("ame.callgraph") as span:
             callgraph = CallGraph(apk)
-        with tracer.span("ame.constprop"):
+            span.set(
+                cfg_count=len(callgraph.cfgs),
+                callgraph_edges=sum(
+                    len(sites) for sites in callgraph.edges.values()
+                ),
+            )
+        with tracer.span("ame.constprop") as span:
             values = ValueAnalysis(callgraph)
+            span.set(method_analyses=values.method_analyses)
 
         all_roots = not self.reachability_pruning
-        with tracer.span("ame.taint"):
+        with tracer.span("ame.taint") as span:
             taint = TaintAnalysis(
                 apk, callgraph, values, all_roots=all_roots
             ).run()
-        with tracer.span("ame.intents"):
+            span.set(
+                taint_paths=sum(len(paths) for paths in taint.paths.values())
+            )
+        with tracer.span("ame.intents") as span:
             intents_result = IntentExtraction(
                 apk, callgraph, values, all_roots=all_roots
             ).run(extras_taint=taint.extras_taint)
+            span.set(intents=len(intents_result.intents))
         with tracer.span("ame.permissions"):
             permissions = PermissionExtraction(apk, callgraph, values).run()
-
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("ame.apps_extracted").inc()
-            metrics.counter("ame.constprop_method_analyses").inc(
-                values.method_analyses
-            )
-            metrics.histogram("ame.cfg_count").observe(len(callgraph.cfgs))
-            metrics.histogram("ame.callgraph_edges").observe(
-                sum(len(sites) for sites in callgraph.edges.values())
-            )
-            metrics.histogram("ame.taint_paths").observe(
-                sum(len(paths) for paths in taint.paths.values())
-            )
-            metrics.histogram("ame.intents").observe(
-                len(intents_result.intents)
-            )
 
         components = []
         for decl in apk.manifest.components:

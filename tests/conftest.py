@@ -5,19 +5,18 @@ from functools import partial
 
 import pytest
 
-from repro.obs import get_metrics, get_tracer, set_metrics, set_tracer
+from repro.obs import get_tracer, set_tracer
 from repro.relational import problem
 from tests.rup import CheckedSolver
 
 
 @pytest.fixture(autouse=True)
 def _restore_telemetry():
-    """Put back the process tracer and metrics registry after each test,
-    so a test that enables either cannot leak it into later tests."""
-    tracer, metrics = get_tracer(), get_metrics()
+    """Put back the process tracer after each test, so a test that
+    enables tracing cannot leak it into later tests."""
+    tracer = get_tracer()
     yield
     set_tracer(tracer)
-    set_metrics(metrics)
 
 
 @pytest.fixture

@@ -59,7 +59,6 @@ from repro.enforcement import (
 from repro.enforcement.hooks import MethodCall
 from repro.enforcement.pdp import Decision
 from repro.enforcement.runtime import _SEND_KIND, Device, Effect
-from repro.obs import get_metrics
 
 
 FUZZ_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20160807"))
@@ -158,12 +157,6 @@ def reference_on_icc_send(runs):
                 self.allowed_deliveries += 1
             else:
                 self.blocked_deliveries += 1
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.counter("pep.allowed_deliveries").inc(len(allowed))
-            metrics.counter("pep.blocked_deliveries").inc(
-                len(matches) - len(allowed)
-            )
         if len(allowed) == len(matches):
             return
         call.skip = True

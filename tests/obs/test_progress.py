@@ -12,11 +12,11 @@ import sys
 import pytest
 
 import repro
+from repro.cli import PROGRESS_ENV, TRACE_ENV
+from repro.cli import main as cli_main
 from repro.obs import (
     DEFAULT_INTERVAL,
     NULL_TRACER,
-    PROGRESS_ENV,
-    TRACE_ENV,
     HeartbeatMonitor,
     JsonlTracer,
     ProgressSnapshot,
@@ -176,31 +176,53 @@ class TestHeartbeatTransport:
         finally:
             tracer.close()
 
-    def test_env_sets_the_import_time_tracers_interval(self, tmp_path):
-        """REPRO_TRACE / REPRO_PROGRESS are read once at import: the
-        tracer they create heartbeats at the given interval (the default
-        for a non-numeric value, none without REPRO_PROGRESS)."""
-        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        probe = (
-            "from repro.obs import get_tracer; "
-            "print(get_tracer().heartbeat_interval)"
-        )
-        trace = str(tmp_path / "env.jsonl")
+    def test_env_sets_the_cli_tracers_interval(self, tmp_path, monkeypatch):
+        """The CLI reads REPRO_TRACE / REPRO_PROGRESS once per command:
+        the tracer they install heartbeats at the given interval (the
+        default for a non-numeric value, none without REPRO_PROGRESS)."""
+        trace = tmp_path / "env.jsonl"
+        missing = str(tmp_path / "missing.jsonl")
         for progress, want in (("64", 64), ("yes", DEFAULT_INTERVAL),
-                               (None, 0)):
-            env = {
-                k: v for k, v in os.environ.items()
-                if not k.startswith("REPRO_")
-            }
-            env.update({"PYTHONPATH": src, TRACE_ENV: trace})
-            if progress is not None:
-                env[PROGRESS_ENV] = progress
-            out = subprocess.run(
-                [sys.executable, "-c", probe],
-                env=env, capture_output=True, text=True, check=True,
-                timeout=60,
-            ).stdout
-            assert int(out) == want
+                               ("0", DEFAULT_INTERVAL), (None, 0)):
+            monkeypatch.setenv(TRACE_ENV, str(trace))
+            if progress is None:
+                monkeypatch.delenv(PROGRESS_ENV, raising=False)
+            else:
+                monkeypatch.setenv(PROGRESS_ENV, progress)
+            set_tracer(NULL_TRACER)
+            # A command that fails fast still runs under the env tracer.
+            assert cli_main(["trace", missing]) != 0
+            tracer = get_tracer()
+            try:
+                assert isinstance(tracer, JsonlTracer)
+                assert tracer.path == str(trace)
+                assert tracer.heartbeat_interval == want
+            finally:
+                tracer.close()
+
+    def test_import_with_env_installs_no_tracer(self, tmp_path):
+        """Importing the package reads no environment: with REPRO_TRACE
+        set, the tracer stays the no-op and no file is opened."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        trace = tmp_path / "env.jsonl"
+        probe = (
+            "from repro.obs import NULL_TRACER, get_tracer; "
+            "import repro.cli, repro.pipeline, repro.service; "
+            "print(get_tracer() is NULL_TRACER)"
+        )
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env.update(
+            {"PYTHONPATH": src, TRACE_ENV: str(trace), PROGRESS_ENV: "64"}
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+            timeout=60,
+        ).stdout
+        assert out.strip() == "True"
+        assert not trace.exists()
 
 
 class TestHeartbeatMonitor:
@@ -314,8 +336,7 @@ class TestHeartbeatMonitor:
 class TestZeroCostIdentity:
     def test_default_tracer_never_heartbeats(self):
         assert NULL_TRACER.heartbeat_interval == 0
-        if not os.environ.get(TRACE_ENV):
-            assert get_tracer().heartbeat_interval == 0
+        assert get_tracer().heartbeat_interval == 0
 
     def test_findings_identical_with_telemetry_on_and_off(self, tmp_path):
         """The observability acceptance bar: enabling every telemetry layer
@@ -323,7 +344,6 @@ class TestZeroCostIdentity:
         import json as json_module
 
         from repro.benchsuite.running_example import build_app1, build_app2
-        from repro.obs import enable_metrics, set_metrics, NULL_METRICS
         from repro.obs import enable_tracing
         from repro.pipeline import AnalysisPipeline, NullCache
 
@@ -339,12 +359,10 @@ class TestZeroCostIdentity:
 
         path = tmp_path / "t.jsonl"
         tracer = enable_tracing(str(path), heartbeat_interval=1)
-        enable_metrics()
         try:
             telemetered = run()
         finally:
             set_tracer(NULL_TRACER)
-            set_metrics(NULL_METRICS)
             tracer.close()
 
         assert telemetered == plain

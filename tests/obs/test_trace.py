@@ -10,7 +10,6 @@ import pytest
 
 from repro.obs import (
     NULL_TRACER,
-    TRACE_ENV,
     InMemoryTracer,
     JsonlTracer,
     NullTracer,
@@ -292,9 +291,8 @@ class TestDisabled:
         assert t.enabled is False
 
     def test_default_tracer_is_null(self):
-        # The module-level default (absent REPRO_TRACE) must be the no-op.
-        if not os.environ.get(TRACE_ENV):
-            assert isinstance(NULL_TRACER, NullTracer)
+        # The module-level default is the no-op, whatever the environment.
+        assert isinstance(NULL_TRACER, NullTracer)
 
     def test_noop_overhead_guard(self):
         """Disabled tracing must stay within noise of a bare loop.

@@ -12,6 +12,7 @@ import multiprocessing
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.pipeline import AnalysisPipeline, FaultPolicy
 
 
@@ -37,7 +38,11 @@ def _pipeline(jobs, start_method=None):
 
 def _map(pipeline, items):
     return pipeline._map(
-        square, items, stage="extract", labels=[str(i.value) for i in items]
+        square,
+        items,
+        stage="extract",
+        labels=[str(i.value) for i in items],
+        metrics=MetricsRegistry(),
     )
 
 

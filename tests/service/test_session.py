@@ -10,6 +10,7 @@ from repro.benchsuite.running_example import (
     build_malicious_app,
 )
 from repro.core import serialize
+from repro.core.detector import SeparDetector
 from repro.core.separ import Separ
 from repro.enforcement import CompiledPolicyDecisionPoint
 from repro.obs import COST_FIELDS
@@ -114,6 +115,34 @@ class TestLazySynthesis:
         assert session.syntheses == 2
         assert session.warm_hits == 1
         assert 0.0 < session.warm_hit_rate < 1.0
+
+    def test_refresh_reuses_the_mutations_detection(
+        self, app_dicts, apps, monkeypatch
+    ):
+        """Detection runs once per mutation, in the session's analyzer;
+        a refresh reuses it instead of detecting the same composition
+        again, and still answers what a cold run answers."""
+        runs = []
+        detect = SeparDetector.detect
+
+        def counted(self, bundle):
+            runs.append(len(bundle.apps))
+            return detect(self, bundle)
+
+        monkeypatch.setattr(SeparDetector, "detect", counted)
+        session = DeviceSession("d", config=CONFIG)
+        counts = [len(runs)]
+        for app in apps[:2]:
+            session.install(app_dicts[app.package])
+        counts.append(len(runs))
+        both = session.analyze()
+        counts.append(len(runs))
+        session.uninstall(apps[1].package)
+        one = session.analyze()
+        counts.append(len(runs))
+        assert counts == [1, 3, 3, 4]
+        assert canon(both) == canon(cold_analysis(apps[:2], CONFIG))
+        assert canon(one) == canon(cold_analysis(apps[:1], CONFIG))
 
     def test_policies_refresh_through_pdp_invalidation(
         self, app_dicts, apps
