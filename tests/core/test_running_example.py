@@ -13,8 +13,10 @@ import pytest
 from repro.android.resources import Resource
 from repro.android import permissions as perms
 from repro.benchsuite.running_example import build_app1, build_app2
+from repro.core.detector import SeparDetector
 from repro.core.policy import PolicyAction, PolicyEvent
 from repro.core.separ import Separ
+from repro.core.synthesis import SynthesisResult
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +161,31 @@ class TestReport:
         text = report.summary()
         assert "bundle: 2 apps" in text
         assert "policies synthesized" in text
+
+    def test_assemble_report_reuses_a_given_detection(
+        self, report, monkeypatch
+    ):
+        """A caller that holds the bundle's detection hands it over and
+        detection does not run again; without one it runs once.  Both
+        assemble the report ``analyze_bundle`` produced."""
+        runs = []
+        detect = SeparDetector.detect
+
+        def counted(self, bundle):
+            runs.append(bundle)
+            return detect(self, bundle)
+
+        monkeypatch.setattr(SeparDetector, "detect", counted)
+        result = SynthesisResult(scenarios=report.scenarios, stats=report.stats)
+        reused = Separ.assemble_report(
+            report.bundle, result, detection=report.detection
+        )
+        assert runs == []
+        assert reused.detection is report.detection
+        fresh = Separ.assemble_report(report.bundle, result)
+        assert runs == [report.bundle]
+        assert fresh.detection.to_dict() == report.detection.to_dict()
+        assert fresh.policies == reused.policies == report.policies
 
     def test_detector_agrees_with_synthesis(self, report):
         """The concrete detector and the SAT pipeline agree on the victim

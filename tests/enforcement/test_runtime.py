@@ -92,6 +92,32 @@ class TestRuntimeBasics:
         logs = rt.effects_of_kind("log")
         assert logs and Resource.LOCATION in logs[0].detail["taints"]
 
+    def test_resolution_never_reads_the_payload(self):
+        """The model intent that resolution matches carries no payload:
+        a tainted send resolves to the recipients of an empty one, and
+        the taint stays on the runtime intent, where the PEP reads it."""
+        rt = AndroidRuntime()
+        rt.install(build_app1())
+        rt.install(build_malicious_app())
+        sender = "com.example.navigation/LocationFinder"
+
+        def resolve(extras):
+            intent = RuntimeIntent()
+            intent.action = "showLoc"
+            intent.extras.update(extras)
+            found = rt.resolve_icc(sender, "Context.startService", intent)
+            return intent, [c.qualified for c in found]
+
+        tainted, got = resolve(
+            {"locationInfo": Tagged("x", frozenset({Resource.LOCATION}))}
+        )
+        _plain, want = resolve({})
+        assert got == want and got
+        model = tainted.to_model()
+        assert (model.extras, model.extra_keys) == (frozenset(), frozenset())
+        assert (model.sender, model.action) == (sender, "showLoc")
+        assert tainted.carried_resources == {Resource.LOCATION}
+
 
 class TestExploitChain:
     """The Figure 1 attack, executed concretely."""

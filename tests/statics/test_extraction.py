@@ -20,6 +20,8 @@ from repro.obs import InMemoryTracer, set_tracer
 from repro.statics import extract_app, extract_bundle
 from repro.statics.callgraph import CallGraph
 from repro.statics.constprop import ValueAnalysis
+from repro.statics.intent_extraction import IntentExtraction
+from repro.statics.taint import TaintAnalysis
 
 
 class TestApp1Extraction:
@@ -504,3 +506,32 @@ class TestExtractionSpans:
             "ame.intents",
             "ame.permissions",
         ]
+
+    def test_each_pass_span_carries_its_size(self):
+        """The size of each analysis rides on the span that times it, and
+        equals what the analysis computes on its own."""
+        apk = build_app1()
+        tracer = InMemoryTracer()
+        previous = set_tracer(tracer)
+        try:
+            extract_app(apk)
+        finally:
+            set_tracer(previous)
+        attrs = {r.name: r.attrs for r in tracer.records}
+        callgraph = CallGraph(apk)
+        values = ValueAnalysis(callgraph)
+        taint = TaintAnalysis(apk, callgraph, values).run()
+        intents = IntentExtraction(apk, callgraph, values).run(
+            extras_taint=taint.extras_taint
+        )
+        assert attrs["ame.callgraph"]["cfg_count"] == len(callgraph.cfgs)
+        assert attrs["ame.callgraph"]["callgraph_edges"] == sum(
+            len(sites) for sites in callgraph.edges.values()
+        )
+        assert attrs["ame.constprop"]["method_analyses"] == (
+            values.method_analyses
+        )
+        assert attrs["ame.taint"]["taint_paths"] == sum(
+            len(paths) for paths in taint.paths.values()
+        )
+        assert attrs["ame.intents"]["intents"] == len(intents.intents) > 0
