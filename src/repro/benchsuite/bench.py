@@ -22,6 +22,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -582,16 +583,18 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
     session beats cold re-analysis; it is direction-tagged in
     ``HIGHER_BETTER``.  A second phase drives a ``decide`` stream
     through a live socket server for end-to-end requests/sec and
-    per-request latency, then replays a shorter stream twice -- once
-    with span tracing off, once with it on -- and reports the
-    per-request p50/p99 of each plus ``telemetry_overhead_pct``, the
-    price of tracing on the hot decide path (each session's cost
-    account is charged in both).
+    per-request latency, then replays the stream with the service's own
+    tracer switched off and on between consecutive decides, and reports
+    the per-request p50/p99 of each side plus ``telemetry_overhead_pct``,
+    the price of tracing on the hot decide path: the median over off/on
+    pairs of the on decide's latency against the off one's (each
+    session's cost account is charged in both).
     """
     import json as _json
     import random
 
     from repro.core import serialize
+    from repro.obs import NULL_TRACER, JsonlTracer
     from repro.service import (
         PolicyService,
         ServerConfig,
@@ -686,62 +689,58 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
         ServerConfig(port=0, session=session_config, heartbeat_seconds=0.5)
     )
     latencies: List[float] = []
+    off_latencies: List[float] = []
+    on_latencies: List[float] = []
+    overheads: List[float] = []
     with service.background():
         host, port = service.address
         with ServiceClient(host, port) as client:
-            for app in apps:
-                client.install("bench", app_dicts[app.package])
-            client.analyze("bench")  # pay the one synthesis up front
-            t0 = time.perf_counter()
-            for i in range(num_requests):
+
+            def decide_seconds(i: int) -> float:
                 event = {
                     "sender": components[i % len(components)],
                     "receiver": components[(i * 7 + 1) % len(components)],
                 }
                 start = time.perf_counter()
                 client.decide("bench", "icc_receive", event)
-                latencies.append(time.perf_counter() - start)
+                return time.perf_counter() - start
+
+            for app in apps:
+                client.install("bench", app_dicts[app.package])
+            client.analyze("bench")  # pay the one synthesis up front
+            t0 = time.perf_counter()
+            latencies = [decide_seconds(i) for i in range(num_requests)]
             socket_seconds = time.perf_counter() - t0
 
-            # ---- telemetry-overhead phase: the same decide stream with
-            # tracing off, then on.  The server's event loop runs in this
-            # process, so the tracer swapped here governs its request
-            # handling too.
-            from repro.obs import JsonlTracer, set_tracer
-
-            def drive_decides(count: int) -> List[float]:
-                lat: List[float] = []
-                for i in range(count):
-                    event = {
-                        "sender": components[i % len(components)],
-                        "receiver": components[(i * 7 + 1) % len(components)],
-                    }
-                    start = time.perf_counter()
-                    client.decide("bench", "icc_receive", event)
-                    lat.append(time.perf_counter() - start)
-                return lat
-
-            telemetry_requests = max(1, num_requests // 2)
-            off_latencies = drive_decides(telemetry_requests)
-
+            # ---- telemetry-overhead phase: the same decide stream, each
+            # decide twice in a row, with the service's own tracer off and
+            # then on (each batch reads ``service.tracer``).  A pair runs
+            # back to back on the same event, so a drift in the host's
+            # speed reaches both sides; the median pair is the reading.
+            # Blocks of several decides per side spread more from run to
+            # run.
             fd, trace_path = tempfile.mkstemp(
                 prefix="repro-bench-trace-", suffix=".jsonl"
             )
             os.close(fd)
             tracer = JsonlTracer(trace_path)
-            previous_tracer = set_tracer(tracer)
             try:
-                on_latencies = drive_decides(telemetry_requests)
+                for i in range(max(1, num_requests // 2)):
+                    service.tracer = NULL_TRACER
+                    off = decide_seconds(i)
+                    service.tracer = tracer
+                    on = decide_seconds(i)
+                    off_latencies.append(off)
+                    on_latencies.append(on)
+                    overheads.append((on - off) / off * 100.0)
             finally:
-                set_tracer(previous_tracer)
+                service.tracer = NULL_TRACER
                 tracer.close()
                 try:
                     os.unlink(trace_path)
                 except OSError:
                     pass
 
-    off_p50 = _percentile(off_latencies, 0.5)
-    on_p50 = _percentile(on_latencies, 0.5)
     return {
         "apps": float(len(apps)),
         "events": float(len(apps) + 2 * flips),
@@ -760,13 +759,11 @@ def _bench_service(config: BenchConfig) -> Dict[str, float]:
         ),
         "request_p50_us": _percentile(latencies, 0.5) * 1e6,
         "request_p99_us": _percentile(latencies, 0.99) * 1e6,
-        "telemetry_off_p50_us": off_p50 * 1e6,
+        "telemetry_off_p50_us": _percentile(off_latencies, 0.5) * 1e6,
         "telemetry_off_p99_us": _percentile(off_latencies, 0.99) * 1e6,
-        "telemetry_on_p50_us": on_p50 * 1e6,
+        "telemetry_on_p50_us": _percentile(on_latencies, 0.5) * 1e6,
         "telemetry_on_p99_us": _percentile(on_latencies, 0.99) * 1e6,
-        "telemetry_overhead_pct": (
-            (on_p50 - off_p50) / off_p50 * 100.0 if off_p50 > 0 else 0.0
-        ),
+        "telemetry_overhead_pct": statistics.median(overheads),
     }
 
 

@@ -20,7 +20,7 @@ Usage (``python -m repro <command>``):
   The linear reference PDP stays reachable as
   ``repro.enforcement.make_pdp(backend="linear")``.
 - ``trace FILE``                -- render the span tree and top-k hotspots
-  of a JSONL trace produced by ``pipeline --trace`` or ``enable_tracing``;
+  of a JSONL trace produced by ``pipeline --trace`` or ``REPRO_TRACE``;
   spans whose process died before completion render as ``[UNFINISHED]``.
 - ``export-trace FILE -o OUT``  -- convert a JSONL trace (spans plus solver
   heartbeats) to Chrome trace-event JSON, loadable in Perfetto or
@@ -49,21 +49,23 @@ Usage (``python -m repro <command>``):
 LEVEL`` (or ``REPRO_LOG=LEVEL``) routes diagnostic chatter -- heartbeat
 lines from ``pipeline --watch``, HTTP access logs -- through stdlib
 logging; without it, logging stays unconfigured and default output is
-unchanged.  ``REPRO_TRACE=FILE`` traces any command into a JSONL file,
-with solver heartbeats every ``REPRO_PROGRESS`` conflicts; ``pipeline
---trace``/``--watch`` install their own tracer instead.  Every
-subcommand documents its flags via ``repro <command> --help``.
+unchanged.  :func:`main` runs each command under at most one tracer,
+which it opens before the command and closes after it: ``pipeline
+--trace``/``--watch`` name its file, otherwise ``REPRO_TRACE=FILE``
+does (with solver heartbeats every ``REPRO_PROGRESS`` conflicts).
+Every subcommand documents its flags via ``repro <command> --help``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
 import pathlib
 import sys
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro import __version__
 from repro.core import serialize
@@ -99,22 +101,47 @@ TRACE_ENV = "REPRO_TRACE"
 PROGRESS_ENV = "REPRO_PROGRESS"
 
 
-def _trace_from_env() -> None:
-    path = os.environ.get(TRACE_ENV)
-    if not path:
-        return
-    from repro.obs import DEFAULT_INTERVAL, enable_tracing
+@contextlib.contextmanager
+def _command_tracing(args: argparse.Namespace) -> Iterator[None]:
+    """Run the command under the one tracer it owns, if any, and close
+    that tracer when the command ends, normally or by an exception.
 
-    interval = 0
-    progress = os.environ.get(PROGRESS_ENV)
-    if progress:
+    ``pipeline --trace``/``--watch`` name its file, truncated because
+    tasks append to it; ``--watch`` alone gets a throwaway one, since
+    heartbeats travel over the trace file.  Otherwise ``REPRO_TRACE``
+    names the file, or nothing traces.
+    """
+    from repro.obs import DEFAULT_INTERVAL, JsonlTracer, tracing
+
+    path, interval = os.environ.get(TRACE_ENV), 0
+    throwaway = args.command == "pipeline" and args.watch and not args.trace
+    if args.command == "pipeline" and (args.trace or args.watch):
+        path = args.trace
+        interval = max(1, args.progress_interval) if args.watch else 0
+        if throwaway:
+            import tempfile
+
+            fd, path = tempfile.mkstemp(prefix="repro-watch-", suffix=".jsonl")
+            os.close(fd)
+        pathlib.Path(path).write_text("")
+    elif os.environ.get(PROGRESS_ENV):
         try:
-            interval = int(progress)
+            interval = int(os.environ[PROGRESS_ENV])
         except ValueError:
-            interval = DEFAULT_INTERVAL
-        if interval <= 0:
-            interval = DEFAULT_INTERVAL
-    enable_tracing(path, heartbeat_interval=interval)
+            pass
+        interval = interval if interval > 0 else DEFAULT_INTERVAL
+    if not path:
+        yield
+        return
+    tracer = JsonlTracer(path, heartbeat_interval=interval)
+    try:
+        with tracing(tracer):
+            yield
+    finally:
+        tracer.close()
+        if throwaway:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
 
 
 _positive_int = _int_at_least(1)
@@ -194,43 +221,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    from repro.obs import enable_tracing
     from repro.pipeline import (
         AnalysisPipeline,
         FaultPolicy,
         NullCache,
         PipelineCache,
-        attach_observability,
     )
     from repro.workloads import CorpusConfig, CorpusGenerator
     from repro.workloads.bundles import partition_bundles
 
-    trace_path = args.trace
-    ephemeral_trace = False
-    if args.watch and not trace_path:
-        # Heartbeats travel over the trace file; --watch without --trace
-        # uses a throwaway one.
-        import tempfile
-
-        fd, trace_path = tempfile.mkstemp(
-            prefix="repro-watch-", suffix=".jsonl"
-        )
-        os.close(fd)
-        ephemeral_trace = True
-    if trace_path:
-        # Truncate any previous trace, then append (pipeline tasks carry
-        # the path to their workers, which append to the same file).
-        pathlib.Path(trace_path).write_text("")
-        enable_tracing(
-            trace_path,
-            heartbeat_interval=(
-                max(1, args.progress_interval) if args.watch else 0
-            ),
-        )
-
     monitor = None
     if args.watch:
-        from repro.obs import HeartbeatMonitor
+        from repro.obs import HeartbeatMonitor, current_tracer
 
         watch_logger = logging.getLogger("repro.watch")
         if not logging.getLogger().handlers and not watch_logger.handlers:
@@ -243,8 +245,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             )
             watch_logger.addHandler(handler)
             watch_logger.setLevel(logging.INFO)
+        # main opened this command's tracer on the watched file.
         monitor = HeartbeatMonitor(
-            trace_path,
+            current_tracer().path,
             stall_after=args.stall_after,
             logger=watch_logger,
         ).start()
@@ -272,19 +275,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     try:
         result = pipeline.run(bundles)
-        report = result.run_report
-        # Re-aggregate now that every span (incl. pipeline.run) is closed.
-        attach_observability(
-            report, trace_path=trace_path if trace_path else None
-        )
     finally:
         if monitor is not None:
             monitor.stop()
-        if ephemeral_trace:
-            try:
-                os.unlink(trace_path)
-            except OSError:
-                pass
+    report = result.run_report
     print(
         f"pipeline: {report.num_apps} apps in {report.num_bundles} bundles, "
         f"jobs={report.jobs}"
@@ -1042,7 +1036,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a JSONL span trace: tree + top-k hotspots",
         description=(
             "Read a JSONL trace file (from `pipeline --trace` or "
-            "repro.obs.enable_tracing) and print the nested span tree "
+            "REPRO_TRACE) and print the nested span tree "
             "followed by the top-k span names by self time."
         ),
     )
@@ -1423,8 +1417,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             format="[%(asctime)s %(levelname)s %(name)s] %(message)s",
             datefmt="%H:%M:%S",
         )
-    _trace_from_env()
-    return args.func(args)
+    with _command_tracing(args):
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ after arbitrary mutation sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, List, Set
 
 from repro.core.detector import DetectionReport, SeparDetector
 from repro.core.model import AppModel, BundleModel, ComponentModel
@@ -115,6 +115,10 @@ class IncrementalAnalyzer:
                 for pkg, app in self._apps.items()
             ]
         )
+
+    def packages(self) -> List[str]:
+        """The installed package names, sorted; builds no app model."""
+        return sorted(self._apps)
 
     def granted_permissions(self, package: str) -> FrozenSet[str]:
         return self._granted[package]

@@ -21,7 +21,7 @@ from repro.core.app_to_spec import BundleSpec
 from repro.core.model import BundleModel
 from repro.core.vulnerabilities import default_signatures
 from repro.core.vulnerabilities.base import ExploitScenario, VulnerabilitySignature
-from repro.obs import get_tracer
+from repro.obs import current_tracer
 from repro.relational import ast as rast
 from repro.relational.problem import RelationalProblem
 from repro.relational.sigs import Module, Sig
@@ -224,7 +224,7 @@ class AnalysisAndSynthesisEngine:
         diversity/superset blocking clauses gated by the active selector
         so they stay inert for the signatures that follow.
         """
-        tracer = get_tracer()
+        tracer = current_tracer()
         stats = SynthesisStats()
         scenarios: List[ExploitScenario] = []
         with tracer.span(
@@ -478,7 +478,7 @@ class AnalysisAndSynthesisEngine:
         The unit of work of the per-signature reference path:
         independent of every other signature (modules are mutated by
         instantiation, so each run builds a fresh embedding)."""
-        tracer = get_tracer()
+        tracer = current_tracer()
         stats = SynthesisStats()
         with tracer.span(
             "ase.signature",

@@ -45,7 +45,7 @@ from repro.dex.instructions import (
 )
 from repro.dex.program import DexMethod
 from repro.enforcement.hooks import HookManager, MethodCall
-from repro.obs import get_tracer
+from repro.obs import current_tracer
 
 _MAX_DISPATCH = 10_000  # runaway-broadcast backstop, per activation
 _MAX_FRAMES = 256
@@ -333,7 +333,7 @@ class AndroidRuntime:
         activation is abandoned with its pending deliveries, and the next
         activation starts from an empty queue.
         """
-        tracer = get_tracer()
+        tracer = current_tracer()
         dispatched = 0
         while self._queue:
             dispatched += 1
@@ -341,14 +341,11 @@ class AndroidRuntime:
                 self._queue.clear()
                 raise RuntimeError("ICC dispatch budget exceeded")
             delivery = self._queue.popleft()
-            if tracer.enabled:
-                with tracer.span(
-                    "runtime.dispatch",
-                    receiver=delivery.receiver,
-                    entry=delivery.entry,
-                ):
-                    self._execute_entry(delivery)
-            else:
+            with tracer.span(
+                "runtime.dispatch",
+                receiver=delivery.receiver,
+                entry=delivery.entry,
+            ):
                 self._execute_entry(delivery)
 
     # ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Observability: tracing spans, metrics, progress telemetry, exporters.
 
 - :mod:`repro.obs.trace` -- nestable wall-clock spans emitted as JSONL
-  events.  The global tracer defaults to a no-op that costs one method
-  call per span; :func:`enable_tracing` installs a collecting one.  The
-  CLI does so for ``pipeline --trace``/``--watch`` and, once per
-  command, for the ``REPRO_TRACE`` environment variable; importing this
-  package installs nothing.
+  events.  The active tracer is a context variable: library code reads
+  it with :func:`current_tracer` (a no-op that costs one method call
+  per span unless someone installed another), and its owner installs
+  it for a block with :func:`tracing`.  The owners are a CLI command
+  (``pipeline --trace``/``--watch``, else the ``REPRO_TRACE``
+  environment variable), a pipeline task and a ``repro serve`` batch;
+  importing this package installs nothing.
 - :mod:`repro.obs.metrics` -- counters, gauges and histograms in a
   :class:`MetricsRegistry`.  There is no global registry: a pipeline run
   and the ``repro serve`` daemon each create one and are the only code
@@ -14,7 +16,7 @@
 - :mod:`repro.obs.progress` -- live solver progress snapshots, written by
   the tracer as heartbeat lines in the trace file every
   ``heartbeat_interval`` conflicts (an argument of
-  :func:`enable_tracing`), and tailed by :class:`HeartbeatMonitor` for
+  :class:`JsonlTracer`), and tailed by :class:`HeartbeatMonitor` for
   the ``repro pipeline --watch`` view.
 - :mod:`repro.obs.view` / :mod:`repro.obs.export` -- rendering and
   standard-format export: span trees and hotspot tables for ``repro
@@ -29,9 +31,9 @@ to the pipeline run or the device session that charges it.
 
 Pipeline worker processes get tracing and heartbeats from the telemetry
 envelope each task carries (see :mod:`repro.pipeline.executor`), never
-from the environment, so they behave the same whether the pool forks or
-spawns.  Workers count nothing into a registry: their payloads carry the
-stats the orchestrator books.
+from the environment or a process global, so they behave the same
+whether the pool forks or spawns.  Workers count nothing into a
+registry: their payloads carry the stats the orchestrator books.
 
 Instrumentation never feeds cache keys (tracer/registry/ledger state is
 not part of any content hash) and never touches analysis outputs, so
@@ -63,13 +65,11 @@ from repro.obs.trace import (
     adopt_trace_context,
     current_trace_context,
     current_trace_id,
-    enable_tracing,
-    get_tracer,
+    current_tracer,
     new_trace_id,
     read_events,
     read_trace,
-    set_tracer,
-    span,
+    tracing,
 )
 from repro.obs.view import aggregate_spans, render_hotspots, render_span_tree
 
@@ -98,8 +98,7 @@ __all__ = [
     "cost_metrics_snapshot",
     "current_trace_context",
     "current_trace_id",
-    "enable_tracing",
-    "get_tracer",
+    "current_tracer",
     "make_metrics_server",
     "new_trace_id",
     "read_events",
@@ -108,7 +107,6 @@ __all__ = [
     "render_prometheus",
     "render_span_tree",
     "sanitize_metric_name",
-    "set_tracer",
-    "span",
+    "tracing",
     "write_chrome_trace",
 ]

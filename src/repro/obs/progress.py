@@ -5,10 +5,11 @@ machinery can kill it, but cannot tell a solver that is *stuck* (no
 conflicts happening, e.g. hung I/O) from one that is *slow* (conflicts
 ticking away on a hard instance).  The solver therefore publishes periodic
 :class:`ProgressSnapshot`\\ s -- conflicts, rates, restarts, learned-DB
-size, trail depth, budget headroom -- through the active tracer
-(:meth:`~repro.obs.trace.Tracer.heartbeat`), every
-``heartbeat_interval`` conflicts.  They land as ``{"event": "progress",
-...}`` heartbeat lines in the JSONL trace file (the same ``O_APPEND``
+size, trail depth, budget headroom -- through the tracer current where
+the solve runs (:func:`~repro.obs.trace.current_tracer`,
+:meth:`~repro.obs.trace.Tracer.heartbeat`), every ``heartbeat_interval``
+conflicts, an interval the tracer's owner sets.  They land as
+``{"event": "progress", ...}`` heartbeat lines in the JSONL trace file (the same ``O_APPEND``
 channel pipeline worker spans use), which :class:`HeartbeatMonitor`
 tails for the ``repro pipeline --watch`` live view.
 

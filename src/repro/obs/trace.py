@@ -18,13 +18,13 @@ The tracer also carries solver heartbeats: a tracer with a positive
 :class:`~repro.obs.progress.ProgressSnapshot` that often (in conflicts),
 and writes each one as a ``progress`` event line.
 
-The default tracer is :data:`NULL_TRACER`: ``span()`` returns a shared
-singleton context manager that records nothing, writes nothing, and
-allocates nothing, so instrumented code pays only a method call when
-tracing is disabled.  Importing this module installs nothing and opens
-no file; a tracer is installed by :func:`enable_tracing` or
-:func:`set_tracer` (the CLI does so for ``--trace``, ``--watch`` and the
-``REPRO_TRACE`` environment variable).
+The active tracer is a context variable too: library code reads it
+with :func:`current_tracer`, and its owner -- a CLI command, a pipeline
+task, a ``repro serve`` batch -- installs it for a block with
+:func:`tracing`.  The default is :data:`NULL_TRACER`, whose ``span()``
+returns a shared singleton context manager that records nothing, writes
+nothing, and allocates nothing, so instrumented code pays only a method
+call when nothing traces.  Importing this module installs nothing.
 """
 
 from __future__ import annotations
@@ -273,26 +273,25 @@ class _Span:
         self.attrs.update(attrs)
 
 
+#: Span ids are ``<pid>-<n>`` with ``n`` from this one per-process
+#: counter, not a per-tracer one: a pipeline task may open a fresh tracer
+#: on the file an earlier task wrote, and its ids must not repeat.
+_span_counter = itertools.count(1)
+
+
 class Tracer:
     """Base tracer: allocates spans, hands completed records to ``_emit``."""
-
-    #: Hot paths may guard expensive attribute computation on this flag.
-    enabled = True
 
     #: Solver heartbeat period in conflicts; 0 asks for none.  Each solve
     #: reads it once, so with 0 the search loop pays one integer test per
     #: conflict and nothing else.
     heartbeat_interval = 0
 
-    def __init__(self) -> None:
-        self._counter = itertools.count(1)
-
     def _next_id(self) -> str:
-        # The pid is read per call, not captured at construction: a forked
-        # pool worker inherits this tracer (counter state and all), and
-        # stamping the *current* pid keeps its span ids distinct from every
-        # sibling worker's.
-        return f"{os.getpid()}-{next(self._counter)}"
+        # The pid is read per call: a forked pool worker inherits the
+        # counter's state, and stamping the *current* pid keeps its span
+        # ids distinct from every sibling worker's.
+        return f"{os.getpid()}-{next(_span_counter)}"
 
     def span(self, name: str, **attrs: Any):
         """Context manager timing one region of work."""
@@ -332,11 +331,6 @@ class Tracer:
 class NullTracer(Tracer):
     """The disabled tracer: no records, no I/O, no allocation."""
 
-    enabled = False
-
-    def __init__(self) -> None:  # no counter state needed
-        pass
-
     def span(self, name: str, **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
 
@@ -348,7 +342,6 @@ class InMemoryTracer(Tracer):
     """Collects spans in a list -- for tests and in-process aggregation."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.records: List[SpanRecord] = []
         self._lock = threading.Lock()
 
@@ -376,7 +369,6 @@ class JsonlTracer(Tracer):
     """
 
     def __init__(self, path: str, heartbeat_interval: int = 0) -> None:
-        super().__init__()
         self.path = str(path)
         self.heartbeat_interval = max(0, int(heartbeat_interval))
         self._fd = os.open(
@@ -415,33 +407,28 @@ class JsonlTracer(Tracer):
 
 
 NULL_TRACER = NullTracer()
-_tracer: Tracer = NULL_TRACER
+
+#: The tracer spans in this context go to; :func:`tracing` scopes it.
+_current_tracer: ContextVar[Tracer] = ContextVar(
+    "repro_tracer", default=NULL_TRACER
+)
 
 
-def get_tracer() -> Tracer:
-    return _tracer
+def current_tracer() -> Tracer:
+    """The tracer installed by the nearest enclosing :func:`tracing`
+    block in this context, else :data:`NULL_TRACER`."""
+    return _current_tracer.get()
 
 
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` globally; returns the previous tracer."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    return previous
-
-
-def enable_tracing(path: str, heartbeat_interval: int = 0) -> JsonlTracer:
-    """Trace into ``path`` (JSONL), with solver heartbeats every
-    ``heartbeat_interval`` conflicts (0 = none).  Pipeline tasks carry
-    both to their workers."""
-    tracer = JsonlTracer(path, heartbeat_interval=heartbeat_interval)
-    set_tracer(tracer)
-    return tracer
-
-
-def span(name: str, **attrs: Any):
-    """Convenience: a span on the global tracer."""
-    return _tracer.span(name, **attrs)
+@contextlib.contextmanager
+def tracing(tracer: Tracer) -> Iterator[Tracer]:
+    """Run the block under ``tracer``, which the caller owns and closes;
+    the previous tracer comes back on exit, an exception included."""
+    token = _current_tracer.set(tracer)
+    try:
+        yield tracer
+    finally:
+        _current_tracer.reset(token)
 
 
 def read_events(path: str) -> Tuple[List[SpanRecord], List[Dict[str, Any]]]:

@@ -35,8 +35,10 @@ payload recorded in ``RunReport.degraded`` (and is never cached).
 Telemetry: every task runs through :func:`_run_task` under a telemetry
 envelope the parent builds once per map -- the dispatch span's trace
 context, the trace file and the heartbeat interval -- and returns its
-payload.  The envelope is the only telemetry channel into workers, so
-forked and spawned pools trace alike.  Workers count nothing: the run's
+payload, under a tracer writing to that file (the current one if it
+does, else one the task opens and closes).  The envelope is the only
+telemetry channel into workers, so forked and spawned pools trace
+alike.  Workers count nothing: the run's
 :class:`~repro.obs.MetricsRegistry` lives in the orchestrator, which
 books each metric from its one owner -- the cache's accounting, the
 stats inside each payload it received, the extraction outcomes and its
@@ -78,13 +80,14 @@ from repro.obs import (
     CostLedger,
     JsonlTracer,
     MetricsRegistry,
+    Tracer,
     adopt_trace_context,
     aggregate_spans,
     current_trace_context,
     current_trace_id,
-    get_tracer,
+    current_tracer,
     read_trace,
-    set_tracer,
+    tracing,
 )
 from repro.pipeline.cache import (
     NullCache,
@@ -186,7 +189,7 @@ def _extract_worker(task: Tuple[Any, bool]) -> Dict[str, Any]:
 
     apk, handle_dynamic_receivers = task
     maybe_inject("extract", apk.package)
-    with get_tracer().span("pipeline.extract_app", package=apk.package):
+    with current_tracer().span("pipeline.extract_app", package=apk.package):
         model = extract_app(
             apk, handle_dynamic_receivers=handle_dynamic_receivers
         )
@@ -200,7 +203,7 @@ def _synthesis_task_key(task: Dict[str, Any]) -> str:
 
 def _synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
     maybe_inject("synthesis", _synthesis_task_key(task))
-    with get_tracer().span(
+    with current_tracer().span(
         "pipeline.synthesize",
         signature=task["signature"],
         apps=len(task["apps"]),
@@ -225,7 +228,7 @@ def _shared_synthesis_worker(task: Dict[str, Any]) -> Dict[str, Any]:
     """One whole bundle under the shared encoding: translate once,
     enumerate every signature under its selector on the one warm solver."""
     maybe_inject("synthesis", _shared_task_key(task))
-    with get_tracer().span(
+    with current_tracer().span(
         "pipeline.synthesize_bundle",
         signatures=len(task["signatures"]),
         apps=len(task["apps"]),
@@ -248,19 +251,22 @@ def _run_task(fn: Callable[[T], R], telemetry: Dict[str, Any], task: T) -> R:
     ``telemetry`` is the envelope :meth:`AnalysisPipeline._map` builds
     once per map: the dispatch span's :class:`~repro.obs.TraceContext`
     (worker spans parent under it and carry the run's trace id), the
-    trace file and the heartbeat interval.  A process whose tracer does
-    not already write to that file -- a spawned worker, on its first
-    task -- installs one.
+    trace file and the heartbeat interval.  A task whose current tracer
+    does not write to that file -- in a spawned worker -- opens one for
+    itself and closes it when it ends.
     """
     path = telemetry["trace_path"]
-    if path is not None and getattr(get_tracer(), "path", None) != path:
-        set_tracer(
-            JsonlTracer(
-                path, heartbeat_interval=telemetry["heartbeat_interval"]
-            )
-        )
-    with adopt_trace_context(telemetry["trace"]):
-        return fn(task)
+    if path is None or getattr(current_tracer(), "path", None) == path:
+        with adopt_trace_context(telemetry["trace"]):
+            return fn(task)
+    tracer = JsonlTracer(
+        path, heartbeat_interval=telemetry["heartbeat_interval"]
+    )
+    try:
+        with tracing(tracer), adopt_trace_context(telemetry["trace"]):
+            return fn(task)
+    finally:
+        tracer.close()
 
 
 #: The ``(fn, items)`` of the pool round a forked worker was started
@@ -338,26 +344,20 @@ def _book_cache(
 
 
 def attach_observability(
-    report: RunReport, trace_path: Optional[str] = None
+    report: RunReport,
+    trace_path: Optional[str] = None,
+    tracer: Optional[Tracer] = None,
 ) -> RunReport:
-    """Fold the run's spans into a run report.
+    """Fold the spans of ``trace_path`` or ``tracer`` into a run report.
 
-    Aggregates span records into ``report.spans`` -- from ``trace_path``
-    if given, else from the global tracer (in-memory records, or the
-    JSONL file a :class:`JsonlTracer` appends to, which also contains the
-    worker processes' spans).  No-op when tracing is disabled.
-    ``report.metrics`` and ``report.cost`` are not touched: the run that
-    filled the report wrote its own registry and ledger there.
+    Aggregates span records into ``report.spans`` -- from the JSONL file
+    at ``trace_path`` or the one ``tracer`` appends to (which also holds
+    the worker processes' spans), else from ``tracer``'s in-memory
+    records.  ``report.metrics`` and ``report.cost`` are not touched:
+    the run that filled the report wrote its own registry and ledger.
     """
-    records = None
-    if trace_path is not None:
-        records = read_trace(trace_path)
-    else:
-        tracer = get_tracer()
-        if getattr(tracer, "records", None) is not None:
-            records = list(tracer.records)
-        elif getattr(tracer, "path", None):
-            records = read_trace(tracer.path)
+    path = trace_path or getattr(tracer, "path", None)
+    records = read_trace(path) if path else getattr(tracer, "records", None)
     if records:
         report.spans = aggregate_spans(records)
     return report
@@ -467,7 +467,7 @@ class AnalysisPipeline:
         if not items:
             return []
         mark_parent_process()
-        tracer = get_tracer()
+        tracer = current_tracer()
         telemetry = {
             "trace": current_trace_context(),
             "trace_path": getattr(tracer, "path", None),
@@ -847,7 +847,8 @@ class AnalysisPipeline:
         metrics = metrics if metrics is not None else MetricsRegistry()
         cache_before = self.cache.accounting.counts("extract")
         start = time.perf_counter()
-        with get_tracer().span("pipeline.extract", apps=len(apks)) as stage:
+        tracer = current_tracer()
+        with tracer.span("pipeline.extract", apps=len(apks)) as stage:
             fingerprint = framework_fingerprint()
             keys = [
                 content_hash(
@@ -926,12 +927,14 @@ class AnalysisPipeline:
         Both stages charge one ledger and count into one metrics registry
         created for this run, so ``run_report.cost`` lists the run's
         accounts in charge order and ``run_report.metrics`` holds the
-        run's counts and nothing else.
+        run's counts and nothing else.  Once ``pipeline.run`` has closed,
+        the current tracer's spans become ``run_report.spans``.
         """
         run_report = RunReport(jobs=self.jobs)
         ledger = CostLedger()
         metrics = MetricsRegistry()
-        with get_tracer().span(
+        tracer = current_tracer()
+        with tracer.span(
             "pipeline.run", jobs=self.jobs, bundles=len(bundles)
         ):
             all_apks = [apk for bundle in bundles for apk in bundle]
@@ -961,6 +964,7 @@ class AnalysisPipeline:
                 ledger=ledger,
                 metrics=metrics,
             )
+        attach_observability(run_report, tracer=tracer)
         return result
 
     def analyze_bundles(
@@ -984,7 +988,7 @@ class AnalysisPipeline:
         metrics = metrics if metrics is not None else MetricsRegistry()
         cache_before = self.cache.accounting.counts("synthesis")
         run_report.num_bundles += len(bundle_models)
-        tracer = get_tracer()
+        tracer = current_tracer()
         params = engine_params(
             self.scenarios_per_signature,
             self.minimal,
@@ -1132,5 +1136,4 @@ class AnalysisPipeline:
         run_report.cache = self.cache.accounting
         run_report.cost = ledger.entries()
         run_report.metrics = metrics.snapshot()
-        attach_observability(run_report)
         return PipelineResult(reports=reports, run_report=run_report)

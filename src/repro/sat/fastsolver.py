@@ -61,7 +61,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs import ProgressSnapshot, get_tracer
+from repro.obs import ProgressSnapshot, current_tracer
 
 _RESCALE_LIMIT = 1e100
 _RESCALE_FACTOR = 1e-100
@@ -771,7 +771,7 @@ class FastSolver:
             keep += 1
         self._cancel_until(keep)
 
-        tracer = get_tracer()
+        tracer = current_tracer()
         sample_every = tracer.heartbeat_interval
         solve_started = time.perf_counter() if sample_every else 0.0
 

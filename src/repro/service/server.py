@@ -24,10 +24,16 @@ Architecture (see ``docs/SERVICE.md``):
   Prometheus text at ``GET /metrics``;
 - every device-op reply carries its request's ``cost``: what the
   device's account grew by while the request ran;
+- the service keeps the tracer current when it is built (the CLI's, for
+  ``repro serve`` under ``REPRO_TRACE``) and runs each batch under it on
+  the pool thread, where each request's ``service.request`` span roots
+  its trace; the event loop opens no spans;
 - shutdown (the ``shutdown`` op, :meth:`PolicyService.request_shutdown`,
-  or SIGTERM/SIGINT in the CLI) stops accepting, lets in-flight batches
-  finish, answers queued requests with ``shutting_down``, and tears the
-  metrics thread, ready file, and socket down.
+  or SIGTERM/SIGINT in the CLI) stops accepting, lets each device finish
+  and answer the batch it is running, answers every other request --
+  queued, or sent since -- with ``shutting_down``, closes connections
+  that are waiting for a request, and tears the metrics thread, ready
+  file, and socket down.
 
 :class:`PolicyService` owns the lifecycle.  ``asyncio.run(service.run())``
 is the CLI entry; ``service.background()`` runs the same loop on a
@@ -44,15 +50,16 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs import (
     COST_FIELDS,
     MetricsRegistry,
     TraceContext,
     adopt_trace_context,
-    get_tracer,
+    current_tracer,
     new_trace_id,
+    tracing,
 )
 from repro.obs.export import cost_metrics_snapshot, make_metrics_server
 from repro.service import protocol
@@ -106,6 +113,10 @@ class PolicyService:
         self._workers: Dict[str, "asyncio.Task"] = {}
         self._busy_since: Dict[str, Optional[float]] = {}
         self._stalled: Dict[str, bool] = {}
+        #: Each open connection's handler task and writer; ``_idle`` holds
+        #: the handlers waiting for their next request line.
+        self._connections: Dict["asyncio.Task", asyncio.StreamWriter] = {}
+        self._idle: Set["asyncio.Task"] = set()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -118,6 +129,8 @@ class PolicyService:
         self._t0 = time.monotonic()
         self.address: Optional[Tuple[str, int]] = None
         self.metrics_address: Optional[Tuple[str, int]] = None
+        #: Every batch runs under this tracer; no tracer is the no-op.
+        self.tracer = current_tracer()
         #: The daemon's series; this service is the only code counting
         #: into it (the scrape adds the devices' cost accounts).
         self.metrics = MetricsRegistry()
@@ -167,17 +180,9 @@ class PolicyService:
             heartbeat = asyncio.ensure_future(self._heartbeat())
             self._started.set()
             await self._shutdown.wait()
-            # Stop accepting, then drain: every queued request still gets
-            # an answer (shutting_down for work not yet started).
-            self._server.close()
-            await self._server.wait_closed()
             heartbeat.cancel()
-            for task in self._workers.values():
-                task.cancel()
-            await asyncio.gather(
-                heartbeat, *self._workers.values(), return_exceptions=True
-            )
-            self._drain_queues()
+            await self._wind_down()
+            await asyncio.gather(heartbeat, return_exceptions=True)
         except BaseException as exc:
             self._start_error = exc
             self._started.set()
@@ -187,6 +192,27 @@ class PolicyService:
                 self._pool.shutdown(wait=True)
             self._stop_metrics()
             self._remove_files()
+
+    async def _wind_down(self) -> None:
+        """Stop serving so that every request read gets one answer.
+
+        Stop accepting; a device worker running a batch answers it and
+        takes no new one, an idle worker stops at once.  Requests still
+        queued, and any read meanwhile, are answered ``shutting_down``.
+        Connections waiting for a request are closed rather than waited
+        on, and this returns once every connection has written its last
+        answer and closed.
+        """
+        self._server.close()
+        for device, worker in self._workers.items():
+            if self._busy_since[device] is None:
+                worker.cancel()
+        await asyncio.gather(*self._workers.values(), return_exceptions=True)
+        self._drain_queues()
+        for task in list(self._idle):
+            self._connections[task].close()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._server.wait_closed()
 
     def request_shutdown(self) -> None:
         """Thread-safe shutdown trigger (signal handlers, tests)."""
@@ -242,8 +268,11 @@ class PolicyService:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while not self._shutdown.is_set():
+                self._idle.add(task)
                 try:
                     line = await reader.readline()
                 except ValueError:
@@ -263,6 +292,8 @@ class PolicyService:
                     break
                 except ConnectionError:
                     break
+                finally:
+                    self._idle.discard(task)
                 if not line:
                     break
                 if not line.strip():
@@ -278,6 +309,7 @@ class PolicyService:
                 if close:
                     break
         finally:
+            del self._connections[task]
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
@@ -375,10 +407,11 @@ class PolicyService:
         return queue
 
     async def _device_worker(self, device: str) -> None:
-        """Drain one device's queue in batches, strictly in order."""
+        """Drain one device's queue in batches, strictly in order, until
+        shutdown begins (see :meth:`_wind_down`)."""
         queue = self._queues[device]
         session = self.sessions[device]
-        while True:
+        while not self._shutdown.is_set():
             item = await queue.get()
             batch: List[Tuple[Dict[str, Any], "asyncio.Future"]] = [item]
             while len(batch) < max(1, self.config.batch_max):
@@ -413,29 +446,30 @@ class PolicyService:
                     future.set_exception(ProtocolError(kind, message))
             self._update_session_gauges(device, session)
 
-    @staticmethod
     def _run_batch(
-        session: DeviceSession, requests: List[Dict[str, Any]]
+        self, session: DeviceSession, requests: List[Dict[str, Any]]
     ) -> List[Tuple[str, Any, Dict[str, float]]]:
         """Execute a batch on the pool thread; never raises.
 
-        Each request runs under its own adopted trace context: the
-        request's ``service.request`` span roots its tree (or joins the
-        client's, when the request carried a ``trace_id`` from a traced
-        caller) and the session's synthesis spans nest under it.  Each
-        outcome carries the request's cost: what the device's account,
-        wall clock included, grew by while the request ran.  This thread
-        is the only one running the device's requests, so no other
-        request's charges can land in between.
+        The batch runs under the service's tracer, installed here because
+        ``run_in_executor`` does not carry the loop's context over to the
+        pool thread.  Each request runs under its own adopted trace
+        context: the request's ``service.request`` span roots its tree
+        (or joins the client's, when the request carried a ``trace_id``
+        from a traced caller) and the session's synthesis spans nest
+        under it.  Each outcome carries the request's cost: what the
+        device's account, wall clock included, grew by while the request
+        ran.  This thread is the only one running the device's requests,
+        so no other request's charges can land in between.
         """
         outcomes: List[Tuple[str, Any, Dict[str, float]]] = []
-        for request in requests:
-            trace_id = request.get("trace_id")
-            ctx = TraceContext(trace_id=trace_id) if trace_id else None
-            before = session.ledger.totals()
-            start = time.perf_counter()
-            with adopt_trace_context(ctx):
-                with get_tracer().span(
+        with tracing(self.tracer) as tracer:
+            for request in requests:
+                trace_id = request.get("trace_id")
+                ctx = TraceContext(trace_id=trace_id) if trace_id else None
+                before = session.ledger.totals()
+                start = time.perf_counter()
+                with adopt_trace_context(ctx), tracer.span(
                     "service.request",
                     op=request.get("op", ""),
                     device=session.device,
@@ -446,14 +480,15 @@ class PolicyService:
                         status, value = "error", (exc.kind, exc.message)
                     except Exception as exc:  # noqa: BLE001
                         status, value = "error", ("internal", repr(exc))
-            session.charge(wall_seconds=time.perf_counter() - start)
-            after = session.ledger.totals()
-            cost = {field: after[field] - before[field] for field in COST_FIELDS}
-            outcomes.append((status, value, cost))
+                session.charge(wall_seconds=time.perf_counter() - start)
+                after = session.ledger.totals()
+                cost = {f: after[f] - before[f] for f in COST_FIELDS}
+                outcomes.append((status, value, cost))
         return outcomes
 
     def _drain_queues(self) -> None:
-        """Fail queued-but-unstarted requests instead of dropping them."""
+        """Answer queued-but-unstarted requests ``shutting_down`` instead
+        of dropping them."""
         for queue in self._queues.values():
             while True:
                 try:

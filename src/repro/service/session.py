@@ -200,9 +200,7 @@ class DeviceSession:
     # ------------------------------------------------------------------
     def packages(self) -> List[str]:
         with self._lock:
-            return sorted(
-                a.package for a in self.analyzer.current_bundle().apps
-            )
+            return self.analyzer.packages()
 
     def current_bundle(self) -> BundleModel:
         """The device's composition in canonical sorted-package order --

@@ -19,7 +19,7 @@ from typing import List, Set
 
 from repro.android.apk import Apk
 from repro.android.components import ComponentKind
-from repro.obs import get_tracer
+from repro.obs import current_tracer
 from repro.core.model import (
     AppModel,
     BundleModel,
@@ -49,7 +49,7 @@ class ModelExtractor:
         self.reachability_pruning = reachability_pruning
 
     def extract(self, apk: Apk) -> AppModel:
-        tracer = get_tracer()
+        tracer = current_tracer()
         with tracer.span("ame.extract", package=apk.package):
             return self._extract(apk, tracer)
 

@@ -5,18 +5,8 @@ from functools import partial
 
 import pytest
 
-from repro.obs import get_tracer, set_tracer
 from repro.relational import problem
 from tests.rup import CheckedSolver
-
-
-@pytest.fixture(autouse=True)
-def _restore_telemetry():
-    """Put back the process tracer after each test, so a test that
-    enables tracing cannot leak it into later tests."""
-    tracer = get_tracer()
-    yield
-    set_tracer(tracer)
 
 
 @pytest.fixture

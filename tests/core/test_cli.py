@@ -190,20 +190,15 @@ class TestSimulate:
 
 class TestTraceCommands:
     def test_pipeline_trace_then_render(self, tmp_path, capsys):
-        from repro.obs import NULL_TRACER, set_tracer
-
         trace_path = tmp_path / "out.jsonl"
         report_path = tmp_path / "rr.json"
-        try:
-            assert main(
-                [
-                    "pipeline", "--scale", "0.002", "--bundle-size", "4",
-                    "--scenarios", "2", "--no-cache",
-                    "--trace", str(trace_path), "--report", str(report_path),
-                ]
-            ) == 0
-        finally:  # the CLI installs a global tracer: restore
-            set_tracer(NULL_TRACER)
+        assert main(
+            [
+                "pipeline", "--scale", "0.002", "--bundle-size", "4",
+                "--scenarios", "2", "--no-cache",
+                "--trace", str(trace_path), "--report", str(report_path),
+            ]
+        ) == 0
         out = capsys.readouterr().out
         assert "spans written" in out
         assert "cost ledger:" in out
@@ -248,8 +243,6 @@ class TestTraceCommands:
         import json
         import logging
 
-        from repro.obs import NULL_TRACER, set_tracer
-
         trace_path = tmp_path / "out.jsonl"
         watch_logger = logging.getLogger("repro.watch")
         handlers, level = list(watch_logger.handlers), watch_logger.level
@@ -263,7 +256,6 @@ class TestTraceCommands:
                 ]
             ) == 0
         finally:
-            set_tracer(NULL_TRACER)
             watch_logger.handlers[:] = handlers
             watch_logger.setLevel(level)
         events = [
@@ -281,7 +273,7 @@ class TestTraceCommands:
         import json
 
         from repro.cli import TRACE_ENV
-        from repro.obs import NULL_TRACER, get_tracer
+        from repro.obs import NULL_TRACER, current_tracer
 
         monkeypatch.delenv(TRACE_ENV, raising=False)
         report_path = tmp_path / "rr.json"
@@ -292,7 +284,7 @@ class TestTraceCommands:
                 "--report", str(report_path),
             ]
         ) == 0
-        assert get_tracer() is NULL_TRACER
+        assert current_tracer() is NULL_TRACER
         capsys.readouterr()
         report = json.loads(report_path.read_text())
         assert report["spans"] == {}
@@ -311,6 +303,61 @@ class TestTraceCommands:
         assert float(samples["repro_ase_num_clauses_sum"]) == sum(
             e["clauses_added"] for e in cost
         ) > 0
+
+    def test_command_owns_one_tracer_and_closes_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``pipeline --trace`` takes precedence over ``REPRO_TRACE``: the
+        env file is never created.  The command runs under the one tracer
+        main opened, and once main returns, normally or by an exception,
+        that tracer is closed and none is current."""
+        import json
+
+        from repro.cli import TRACE_ENV
+        from repro.obs import NULL_TRACER, JsonlTracer, current_tracer
+        from repro.pipeline import AnalysisPipeline
+
+        env_path = tmp_path / "a.jsonl"
+        flag_path = tmp_path / "b.jsonl"
+        monkeypatch.setenv(TRACE_ENV, str(env_path))
+        seen = []
+        run = AnalysisPipeline.run
+
+        def recording_run(self, bundles):
+            seen.append(current_tracer())
+            return run(self, bundles)
+
+        monkeypatch.setattr(AnalysisPipeline, "run", recording_run)
+        argv = [
+            "pipeline", "--scale", "0.002", "--bundle-size", "4",
+            "--scenarios", "2", "--no-cache", "--trace", str(flag_path),
+        ]
+        assert main(argv) == 0
+        assert not env_path.exists()
+        (tracer,) = seen
+        assert isinstance(tracer, JsonlTracer)
+        assert tracer.path == str(flag_path)
+        assert tracer._fd == -1
+        assert current_tracer() is NULL_TRACER
+        spans = [
+            json.loads(line)
+            for line in flag_path.read_text().splitlines()
+        ]
+        assert any(s.get("name") == "pipeline.run" for s in spans)
+
+        def failing_run(self, bundles):
+            seen.append(current_tracer())
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(AnalysisPipeline, "run", failing_run)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv)
+        (tracer,) = seen[1:]
+        assert tracer.path == str(flag_path)
+        assert tracer._fd == -1
+        assert current_tracer() is NULL_TRACER
+        assert not env_path.exists()
+        capsys.readouterr()
 
     def test_trace_rejects_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"

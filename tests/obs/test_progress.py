@@ -20,9 +20,9 @@ from repro.obs import (
     HeartbeatMonitor,
     JsonlTracer,
     ProgressSnapshot,
-    get_tracer,
+    current_tracer,
     read_events,
-    set_tracer,
+    tracing,
 )
 from repro.sat import BudgetExhausted, FastSolver
 
@@ -52,13 +52,12 @@ def _beats(path):
 
 @pytest.fixture
 def heartbeats(tmp_path):
-    """Install a tracer heartbeating every conflict; yields a function
-    returning the snapshots it has written so far.  Restores after."""
+    """Run the test under a tracer heartbeating every conflict; yields a
+    function returning the snapshots it has written so far."""
     path = tmp_path / "t.jsonl"
     tracer = JsonlTracer(str(path), heartbeat_interval=1)
-    previous = set_tracer(tracer)
-    yield lambda: _beats(path)
-    set_tracer(previous)
+    with tracing(tracer):
+        yield lambda: _beats(path)
     tracer.close()
 
 
@@ -119,29 +118,25 @@ class TestSolverPublishes:
         assert len(heartbeats()) == 1  # no conflicts, one closing snapshot
 
     def test_null_tracer_publishes_nothing(self):
-        previous = set_tracer(NULL_TRACER)
-        try:
-            assert get_tracer().heartbeat_interval == 0
+        with tracing(NULL_TRACER):
+            assert current_tracer().heartbeat_interval == 0
             solver = FastSolver()
             for clause in _pigeonhole(4):
                 solver.add_clause(clause)
             assert not solver.solve().satisfiable  # must not raise
-        finally:
-            set_tracer(previous)
 
 
 class TestHeartbeatTransport:
     def test_snapshots_land_in_trace_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tracer = JsonlTracer(str(path), heartbeat_interval=1)
-        previous_tracer = set_tracer(tracer)
         try:
-            solver = FastSolver()
-            for clause in _pigeonhole(5):
-                solver.add_clause(clause)
-            solver.solve()
+            with tracing(tracer):
+                solver = FastSolver()
+                for clause in _pigeonhole(5):
+                    solver.add_clause(clause)
+                solver.solve()
         finally:
-            set_tracer(previous_tracer)
             tracer.close()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         beats = [d for d in lines if d.get("event") == "progress"]
@@ -152,15 +147,13 @@ class TestHeartbeatTransport:
     def test_heartbeats_carry_the_enclosing_span(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tracer = JsonlTracer(str(path), heartbeat_interval=1)
-        previous_tracer = set_tracer(tracer)
         try:
-            with tracer.span("solve") as span:
+            with tracing(tracer), tracer.span("solve") as span:
                 solver = FastSolver()
                 for clause in _pigeonhole(4):
                     solver.add_clause(clause)
                 solver.solve()
         finally:
-            set_tracer(previous_tracer)
             tracer.close()
         events = read_events(str(path))[1]
         assert events
@@ -178,10 +171,21 @@ class TestHeartbeatTransport:
 
     def test_env_sets_the_cli_tracers_interval(self, tmp_path, monkeypatch):
         """The CLI reads REPRO_TRACE / REPRO_PROGRESS once per command:
-        the tracer they install heartbeats at the given interval (the
-        default for a non-numeric value, none without REPRO_PROGRESS)."""
+        the command runs under a tracer heartbeating at the given
+        interval (the default for a non-numeric value, none without
+        REPRO_PROGRESS), which is closed once the command returns."""
+        import repro.cli
+
         trace = tmp_path / "env.jsonl"
         missing = str(tmp_path / "missing.jsonl")
+        seen = []
+        command = repro.cli._cmd_trace
+
+        def recording_command(args):
+            seen.append(current_tracer())
+            return command(args)
+
+        monkeypatch.setattr(repro.cli, "_cmd_trace", recording_command)
         for progress, want in (("64", 64), ("yes", DEFAULT_INTERVAL),
                                ("0", DEFAULT_INTERVAL), (None, 0)):
             monkeypatch.setenv(TRACE_ENV, str(trace))
@@ -189,16 +193,14 @@ class TestHeartbeatTransport:
                 monkeypatch.delenv(PROGRESS_ENV, raising=False)
             else:
                 monkeypatch.setenv(PROGRESS_ENV, progress)
-            set_tracer(NULL_TRACER)
             # A command that fails fast still runs under the env tracer.
             assert cli_main(["trace", missing]) != 0
-            tracer = get_tracer()
-            try:
-                assert isinstance(tracer, JsonlTracer)
-                assert tracer.path == str(trace)
-                assert tracer.heartbeat_interval == want
-            finally:
-                tracer.close()
+            tracer = seen.pop()
+            assert isinstance(tracer, JsonlTracer)
+            assert tracer.path == str(trace)
+            assert tracer.heartbeat_interval == want
+            assert tracer._fd == -1  # closed by main
+            assert current_tracer() is NULL_TRACER
 
     def test_import_with_env_installs_no_tracer(self, tmp_path):
         """Importing the package reads no environment: with REPRO_TRACE
@@ -206,9 +208,9 @@ class TestHeartbeatTransport:
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         trace = tmp_path / "env.jsonl"
         probe = (
-            "from repro.obs import NULL_TRACER, get_tracer; "
+            "from repro.obs import NULL_TRACER, current_tracer; "
             "import repro.cli, repro.pipeline, repro.service; "
-            "print(get_tracer() is NULL_TRACER)"
+            "print(current_tracer() is NULL_TRACER)"
         )
         env = {
             k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
@@ -336,7 +338,7 @@ class TestHeartbeatMonitor:
 class TestZeroCostIdentity:
     def test_default_tracer_never_heartbeats(self):
         assert NULL_TRACER.heartbeat_interval == 0
-        assert get_tracer().heartbeat_interval == 0
+        assert current_tracer().heartbeat_interval == 0
 
     def test_findings_identical_with_telemetry_on_and_off(self, tmp_path):
         """The observability acceptance bar: enabling every telemetry layer
@@ -344,7 +346,6 @@ class TestZeroCostIdentity:
         import json as json_module
 
         from repro.benchsuite.running_example import build_app1, build_app2
-        from repro.obs import enable_tracing
         from repro.pipeline import AnalysisPipeline, NullCache
 
         apks = [build_app1(), build_app2()]
@@ -358,11 +359,11 @@ class TestZeroCostIdentity:
         plain = run()
 
         path = tmp_path / "t.jsonl"
-        tracer = enable_tracing(str(path), heartbeat_interval=1)
+        tracer = JsonlTracer(str(path), heartbeat_interval=1)
         try:
-            telemetered = run()
+            with tracing(tracer):
+                telemetered = run()
         finally:
-            set_tracer(NULL_TRACER)
             tracer.close()
 
         assert telemetered == plain

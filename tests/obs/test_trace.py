@@ -1,6 +1,7 @@
-"""Tracing spans: nesting, round-trip serialization, concurrency, and the
-zero-cost-when-disabled guarantee."""
+"""Tracing spans: nesting, round-trip serialization, concurrency, the
+scoped active tracer, and the zero-cost-when-disabled guarantee."""
 
+import asyncio
 import json
 import os
 import threading
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+import repro.obs
 from repro.obs import (
     NULL_TRACER,
     InMemoryTracer,
@@ -15,12 +17,12 @@ from repro.obs import (
     NullTracer,
     SpanRecord,
     TraceContext,
+    Tracer,
     adopt_trace_context,
     current_trace_context,
     current_trace_id,
-    enable_tracing,
-    get_tracer,
-    set_tracer,
+    current_tracer,
+    tracing,
 )
 from repro.obs import trace
 from repro.obs.trace import read_trace, write_trace
@@ -28,11 +30,9 @@ from repro.obs.trace import read_trace, write_trace
 
 @pytest.fixture
 def tracer():
-    """Install an in-memory tracer; restore the previous one afterwards."""
-    t = InMemoryTracer()
-    previous = set_tracer(t)
-    yield t
-    set_tracer(previous)
+    """Run the test under an in-memory tracer."""
+    with tracing(InMemoryTracer()) as t:
+        yield t
 
 
 class TestNesting:
@@ -127,13 +127,12 @@ class TestRoundTrip:
     def test_jsonl_tracer_emits_parseable_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"
         t = JsonlTracer(str(path))
-        previous = set_tracer(t)
         try:
-            with t.span("a"):
-                with t.span("b"):
-                    pass
+            with tracing(t):
+                with current_tracer().span("a"):
+                    with current_tracer().span("b"):
+                        pass
         finally:
-            set_tracer(previous)
             t.close()
         lines = path.read_text().splitlines()
         # Two spans, each as a begin event plus a completion line.
@@ -177,20 +176,6 @@ class TestRoundTrip:
         # Open spans come from begin events, which carry start + pid.
         assert by_name["doomed"].start > 0
         assert by_name["doomed"].pid == os.getpid()
-
-    def test_enable_tracing_installs_without_touching_env(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        environ = dict(os.environ)
-        previous = get_tracer()
-        t = enable_tracing(str(path), heartbeat_interval=64)
-        try:
-            assert get_tracer() is t
-            assert t.path == str(path)
-            assert t.heartbeat_interval == 64
-            assert dict(os.environ) == environ
-        finally:
-            set_tracer(previous)
-            t.close()
 
 
 class TestTraceContext:
@@ -288,11 +273,11 @@ class TestDisabled:
         with t.span("s") as span:
             span.set(k=1)  # swallowed, not stored
         assert not hasattr(span, "attrs")
-        assert t.enabled is False
 
     def test_default_tracer_is_null(self):
-        # The module-level default is the no-op, whatever the environment.
+        # The context's default is the no-op, whatever the environment.
         assert isinstance(NULL_TRACER, NullTracer)
+        assert current_tracer() is NULL_TRACER
 
     def test_noop_overhead_guard(self):
         """Disabled tracing must stay within noise of a bare loop.
@@ -308,3 +293,118 @@ class TestDisabled:
                 pass
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
+
+
+class TestScope:
+    """The active tracer is scoped like the trace id: a ``tracing`` block
+    installs one in its own context, and nothing outlives the block."""
+
+    def test_scope_restores_the_previous_tracer_on_exit(self):
+        """Nested scopes unwind in order, an exception included."""
+        outer, inner = InMemoryTracer(), InMemoryTracer()
+        with tracing(outer) as installed:
+            assert installed is outer and current_tracer() is outer
+            with tracing(inner):
+                assert current_tracer() is inner
+            assert current_tracer() is outer
+            with pytest.raises(RuntimeError):
+                with tracing(inner):
+                    raise RuntimeError("boom")
+            assert current_tracer() is outer
+        assert current_tracer() is NULL_TRACER
+
+    def test_threads_record_only_their_own_spans(self):
+        """Two threads, each under its own scope, started while a third
+        tracer is current here: each records only the spans opened in it,
+        and the third none."""
+        tracers = [InMemoryTracer(), InMemoryTracer()]
+        barrier = threading.Barrier(2)
+
+        def work(i):
+            with tracing(tracers[i]):
+                barrier.wait()
+                for _ in range(20):
+                    with current_tracer().span(f"t{i}"):
+                        pass
+                barrier.wait()
+
+        with tracing(InMemoryTracer()) as here:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert here.records == []
+        for i, t in enumerate(tracers):
+            assert [r.name for r in t.records] == [f"t{i}"] * 20
+
+    def test_asyncio_tasks_record_only_their_own_spans(self):
+        tracers = [InMemoryTracer(), InMemoryTracer()]
+
+        async def work(i):
+            with tracing(tracers[i]):
+                for _ in range(5):
+                    with current_tracer().span(f"a{i}"):
+                        await asyncio.sleep(0)  # interleave the tasks
+
+        async def main():
+            await asyncio.gather(work(0), work(1))
+            return current_tracer()
+
+        assert asyncio.run(main()) is NULL_TRACER
+        for i, t in enumerate(tracers):
+            assert [r.name for r in t.records] == [f"a{i}"] * 5
+            assert all(r.parent_id is None for r in t.records)
+
+    def test_span_ids_stay_unique_across_tracers(self):
+        """Ids come from one per-process counter: a fresh tracer does not
+        restart it, so tracers appending to one file never collide, even
+        when eight threads (more than the cores) draw ids at once."""
+        import sys
+
+        tracers = [InMemoryTracer() for _ in range(8)]
+
+        def work(t):
+            for _ in range(300):
+                with t.span("s"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t,)) for t in tracers
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [r.span_id for t in tracers for r in t.records]
+        assert len(ids) == 8 * 300 and len(set(ids)) == len(ids)
+
+    def test_no_process_global_tracer(self):
+        """There is nothing to install globally or switch off: no global
+        accessor (get/set/enable), no module-level ``span()``, and the
+        only module-level tracer is the no-op default."""
+        for module in (repro.obs, trace):
+            names = set(vars(module))
+            assert {"span", "_tracer"}.isdisjoint(names), module
+            accessors = [
+                name
+                for name in names
+                if name.split("_")[0] in ("get", "set", "enable")
+            ]
+            assert accessors == [], accessors
+        for cls in (Tracer, NullTracer, InMemoryTracer, JsonlTracer):
+            assert not hasattr(cls, "enabled"), cls
+        tracers = [
+            name
+            for name, value in vars(trace).items()
+            if isinstance(value, Tracer)
+        ]
+        assert tracers == ["NULL_TRACER"]

@@ -23,10 +23,10 @@ from repro.obs import (
     ProgressSnapshot,
     TraceContext,
     current_trace_id,
-    enable_tracing,
+    current_tracer,
     read_events,
     render_prometheus,
-    set_tracer,
+    tracing,
 )
 from repro.obs.trace import read_trace
 from repro.pipeline import (
@@ -77,11 +77,9 @@ def assert_worker_spans_join_dispatch(records):
 
 @pytest.fixture
 def observed():
-    """Install a collecting tracer; restore the no-op after."""
-    tracer = InMemoryTracer()
-    prev_tracer = set_tracer(tracer)
-    yield tracer
-    set_tracer(prev_tracer)
+    """Run the test under a collecting tracer."""
+    with tracing(InMemoryTracer()) as tracer:
+        yield tracer
 
 
 def comparable(metrics):
@@ -132,14 +130,22 @@ class TestAttachObservability:
         with tracer.span("work"):
             pass
         metrics = {"sat.solver_calls": {"type": "counter", "value": 3}}
-        report = attach_observability(RunReport(jobs=1, metrics=metrics))
+        report = attach_observability(
+            RunReport(jobs=1, metrics=metrics), tracer=tracer
+        )
         assert report.spans["work"]["count"] == 1
         assert report.metrics == metrics
 
-    def test_noop_when_disabled(self):
-        # Default no-op tracer: the report stays untouched.
-        report = attach_observability(RunReport(jobs=1))
-        assert report.spans == {} and report.metrics == {}
+    def test_noop_when_disabled(self, observed):
+        # Neither a file nor a collecting tracer given, or the no-op
+        # tracer: the report stays untouched, whatever tracer is current.
+        with observed.span("work"):
+            pass
+        for report in (
+            attach_observability(RunReport(jobs=1)),
+            attach_observability(RunReport(jobs=1), tracer=NULL_TRACER),
+        ):
+            assert report.spans == {} and report.metrics == {}
 
     def test_reads_trace_file_when_given(self, tmp_path, observed):
         tracer = observed
@@ -211,10 +217,11 @@ class TestTracedPipelineRun:
         observed_result = AnalysisPipeline(
             jobs=1, scenarios_per_signature=2
         ).run([apks])
-        set_tracer(NULL_TRACER)
-        plain_result = AnalysisPipeline(
-            jobs=1, scenarios_per_signature=2
-        ).run([apks])
+        with tracing(NULL_TRACER):
+            plain_result = AnalysisPipeline(
+                jobs=1, scenarios_per_signature=2
+            ).run([apks])
+        assert plain_result.run_report.spans == {}
         assert json.dumps(
             observed_result.findings_dict(), sort_keys=True
         ) == json.dumps(plain_result.findings_dict(), sort_keys=True)
@@ -429,6 +436,74 @@ class TestRunMetrics:
         assert current_trace_id() is None
 
 
+class TestOwnedTracers:
+    """A run reads the tracer its caller installed and folds its spans in
+    once; a task runs under a tracer writing to the envelope's file."""
+
+    def test_run_folds_its_spans_once_after_the_run_span_closes(
+        self, observed, monkeypatch
+    ):
+        from repro.pipeline import executor
+
+        folded = []
+        attach = executor.attach_observability
+
+        def counting(report, trace_path=None, tracer=None):
+            folded.append(sorted({r.name for r in tracer.records}))
+            return attach(report, trace_path, tracer)
+
+        monkeypatch.setattr(executor, "attach_observability", counting)
+        report = AnalysisPipeline(
+            jobs=1, scenarios_per_signature=2
+        ).run([[build_app1(), build_app2()]]).run_report
+        assert len(folded) == 1 and "pipeline.run" in folded[0]
+        assert report.spans["pipeline.run"]["count"] == 1
+        assert set(report.spans) == set(folded[0])
+
+    def test_task_opens_and_closes_a_tracer_on_the_envelope_file(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "t.jsonl")
+        envelope = {
+            "trace": TraceContext(trace_id="t-task", span_id="1-1"),
+            "trace_path": path,
+            "heartbeat_interval": 8,
+        }
+        seen = []
+
+        def task(item):
+            seen.append(current_tracer())
+            with current_tracer().span("task.work"):
+                pass
+            return item
+
+        assert _run_task(task, envelope, 3) == 3
+        (tracer,) = seen
+        assert isinstance(tracer, JsonlTracer)
+        assert (tracer.path, tracer.heartbeat_interval) == (path, 8)
+        assert tracer._fd == -1  # closed when the task ended
+        assert current_tracer() is NULL_TRACER
+        (record,) = read_trace(path)
+        assert (record.name, record.parent_id, record.trace_id) == (
+            "task.work", "1-1", "t-task"
+        )
+
+    def test_task_reuses_a_current_tracer_on_the_envelope_file(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "t.jsonl")
+        envelope = {"trace": None, "trace_path": path, "heartbeat_interval": 0}
+        tracer = JsonlTracer(path)
+        try:
+            with tracing(tracer):
+                assert _run_task(lambda _: current_tracer(), envelope, 0) is (
+                    tracer
+                )
+            assert tracer._fd >= 0  # the task did not close its owner's
+        finally:
+            tracer.close()
+
+
 class TestTraceIntegrityHeartbeats:
     def test_untagged_or_dangling_heartbeats_are_flagged(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -469,16 +544,16 @@ class TestCrossProcessPropagation:
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {start_method!r} unavailable")
         path = tmp_path / "t.jsonl"
-        tracer = enable_tracing(str(path))
+        tracer = JsonlTracer(str(path))
         try:
-            AnalysisPipeline(
-                jobs=2,
-                cache=NullCache(),
-                scenarios_per_signature=2,
-                start_method=start_method,
-            ).run([[build_app1(), build_app2()]])
+            with tracing(tracer):
+                AnalysisPipeline(
+                    jobs=2,
+                    cache=NullCache(),
+                    scenarios_per_signature=2,
+                    start_method=start_method,
+                ).run([[build_app1(), build_app2()]])
         finally:
-            set_tracer(NULL_TRACER)
             tracer.close()
         return read_trace(str(path))
 
@@ -518,16 +593,15 @@ class TestCrossProcessPropagation:
         ).run(bundles).run_report
         path = tmp_path / "t.jsonl"
         tracer = JsonlTracer(str(path), heartbeat_interval=1)
-        prev_tracer = set_tracer(tracer)
         try:
-            pooled = AnalysisPipeline(
-                jobs=2,
-                cache=NullCache(),
-                scenarios_per_signature=2,
-                start_method=start_method,
-            ).run(bundles).run_report
+            with tracing(tracer):
+                pooled = AnalysisPipeline(
+                    jobs=2,
+                    cache=NullCache(),
+                    scenarios_per_signature=2,
+                    start_method=start_method,
+                ).run(bundles).run_report
         finally:
-            set_tracer(prev_tracer)
             tracer.close()
 
         records, events = read_events(str(path))

@@ -566,3 +566,183 @@ class TestDaemonUnixSocket:
         import os
 
         assert not os.path.exists(path)
+
+
+class TestTracedDaemon:
+    """The daemon runs each batch under the tracer that was current when
+    it was built; built with none, it traces nothing."""
+
+    def test_requests_root_their_own_traces(self, app_dicts):
+        from repro.obs import InMemoryTracer, tracing
+
+        with tracing(InMemoryTracer()) as tracer:
+            service = PolicyService(make_config())
+        replies = []
+        with service.background():
+            with ServiceClient(*service.address) as client:
+                for app in app_dicts.values():
+                    client.install("dev1", app)
+                    replies.append(("install", client.last_trace_id))
+                client.analyze("dev1")
+                replies.append(("analyze", client.last_trace_id))
+                client.decide("dev1", "icc_receive", DECIDE_EVENT)
+                replies.append(("decide", client.last_trace_id))
+        records = tracer.records
+        requests = [r for r in records if r.name == "service.request"]
+        assert [(r.attrs["op"], r.trace_id) for r in requests] == replies
+        assert all(r.parent_id is None for r in requests)
+        analyze = requests[2]
+        by_id = {r.span_id: r for r in records}
+
+        def under_analyze(record):
+            while record.parent_id is not None:
+                record = by_id[record.parent_id]
+            return record is analyze
+
+        for name in ("ase.bundle", "ase.construct", "ase.solve"):
+            spans = [r for r in records if r.name == name]
+            assert spans and all(under_analyze(r) for r in spans), name
+            assert all(r.trace_id == analyze.trace_id for r in spans)
+
+    def test_a_service_built_without_a_tracer_writes_nothing(self, app_dicts):
+        from repro.obs import NULL_TRACER, InMemoryTracer, tracing
+
+        service = PolicyService(make_config())
+        assert service.tracer is NULL_TRACER
+        # A tracer current where the daemon is driven is not the daemon's.
+        with tracing(InMemoryTracer()) as elsewhere:
+            with service.background():
+                with ServiceClient(*service.address) as client:
+                    for app in app_dicts.values():
+                        client.install("dev1", app)
+                    client.analyze("dev1")
+        assert elsewhere.records == []
+
+
+#: A decide on the running example's two apps.
+DECIDE_EVENT = {
+    "sender": "com.example.messenger/MessageSender",
+    "receiver": "com.example.navigation/RouteFinder",
+}
+
+
+@pytest.fixture
+def held_decide(monkeypatch):
+    """Hold the first ``decide`` inside ``DeviceSession.handle`` until the
+    test sets ``release``; ``entered`` is set once it is held."""
+    import threading
+
+    from repro.service.session import DeviceSession
+
+    entered, release = threading.Event(), threading.Event()
+    original = DeviceSession.handle
+
+    def handle(self, request):
+        if request.get("op") == "decide" and not entered.is_set():
+            entered.set()
+            release.wait(timeout=30)
+        return original(self, request)
+
+    monkeypatch.setattr(DeviceSession, "handle", handle)
+    yield entered, release
+    release.set()
+
+
+class TestShutdown:
+    """Fail closed: once shutdown begins, a ``decide`` gets its own answer
+    only if its batch was already running; every other one gets an error,
+    and ``ServiceClient.decide`` raises instead of returning a decision."""
+
+    @staticmethod
+    def _in_thread(target):
+        import threading
+
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = target()
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread, outcome
+
+    @staticmethod
+    def _wait_for(predicate):
+        import time
+
+        deadline = time.monotonic() + 30
+        while not predicate():
+            assert time.monotonic() < deadline, "timed out waiting"
+            time.sleep(0.005)
+
+    def test_running_decide_answers_queued_and_late_ones_fail(
+        self, app_dicts, held_decide
+    ):
+        entered, release = held_decide
+        service = PolicyService(make_config())
+        service.start_background()
+        host, port = service.address
+        with ServiceClient(host, port) as setup:
+            for app in app_dicts.values():
+                setup.install("dev1", app)
+            setup.analyze("dev1")
+        late = ServiceClient(host, port)
+        late.ping()
+
+        def decide():
+            with ServiceClient(host, port) as client:
+                return client.decide("dev1", "icc_receive", DECIDE_EVENT)
+
+        running, running_outcome = self._in_thread(decide)
+        assert entered.wait(timeout=30)
+        queued, queued_outcome = self._in_thread(decide)
+        self._wait_for(lambda: service._queues["dev1"].qsize() == 1)
+        service.request_shutdown()
+        self._wait_for(service._shutdown.is_set)
+        # Sent after shutdown began, while the running batch holds it open.
+        with pytest.raises(ServiceError) as exc:
+            late.decide("dev1", "icc_receive", DECIDE_EVENT)
+        assert exc.value.kind == "shutting_down"
+        late.close()
+        release.set()
+        for thread in (running, queued):
+            thread.join(timeout=30)
+        service._thread.join(timeout=30)
+        assert not service._thread.is_alive()
+        # Running when shutdown began: its own answer.
+        assert running_outcome["result"]["decision"] in ("allow", "deny")
+        # Queued behind the running batch: an error, no decision.
+        assert "result" not in queued_outcome
+        assert isinstance(queued_outcome["error"], ServiceError)
+        assert queued_outcome["error"].kind == "shutting_down"
+
+    def test_a_decide_waiting_past_the_request_timeout_fails(
+        self, app_dicts, held_decide
+    ):
+        entered, release = held_decide
+        service = PolicyService(make_config(request_timeout_seconds=0.2))
+        with service.background():
+            with ServiceClient(*service.address) as client:
+                client.install("dev1", next(iter(app_dicts.values())))
+                with pytest.raises(ServiceError) as exc:
+                    client.decide("dev1", "icc_receive", DECIDE_EVENT)
+                assert exc.value.kind == "timeout"
+                assert entered.is_set()
+                release.set()
+                assert client.ping()["pong"] is True
+
+    def test_shutdown_closes_an_idle_connection(self):
+        """A client that pinged and then holds its connection open does
+        not keep the daemon from stopping; it reads end-of-file."""
+        service = PolicyService(make_config())
+        service.start_background()
+        idle = ServiceClient(*service.address, timeout=10)
+        try:
+            assert idle.ping()["pong"] is True
+            service.stop_background(timeout=5)
+            assert idle._file.readline() == b""
+        finally:
+            idle.close()

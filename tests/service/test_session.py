@@ -89,6 +89,41 @@ class TestMutations:
         assert exc.value.kind == "bad_request"
 
 
+    def test_packages_reads_the_installed_set(
+        self, app_dicts, apps, monkeypatch
+    ):
+        """``packages()`` equals the current bundle's package names after
+        every kind of mutation, and builds no grant-effective app."""
+        from repro.core import incremental
+
+        session = DeviceSession("d", config=CONFIG)
+        built = []
+        effective = incremental._effective_app
+
+        def counting(app, granted):
+            built.append(app.package)
+            return effective(app, granted)
+
+        monkeypatch.setattr(incremental, "_effective_app", counting)
+        package = apps[1].package
+        permission = sorted(apps[1].uses_permissions)[0]
+        steps = [
+            lambda: session.install(app_dicts[apps[0].package]),
+            lambda: session.install(app_dicts[package]),
+            lambda: session.update(app_dicts[package]),
+            lambda: session.revoke(package, permission),
+            lambda: session.grant(package, permission),
+            lambda: session.uninstall(apps[0].package),
+        ]
+        for step in steps:
+            step()
+            names = sorted(a.package for a in session.current_bundle().apps)
+            del built[:]
+            assert session.packages() == names
+            assert built == []
+        assert session.packages() == [package]
+
+
 class TestLazySynthesis:
     def test_mutation_burst_pays_one_synthesis(self, app_dicts, apps):
         session = DeviceSession("d", config=CONFIG)

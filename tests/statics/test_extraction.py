@@ -16,7 +16,7 @@ from repro.benchsuite.running_example import (
 )
 from repro.core.model import PathModel
 from repro.dex import DexClass, DexProgram, MethodBuilder
-from repro.obs import InMemoryTracer, set_tracer
+from repro.obs import InMemoryTracer, tracing
 from repro.statics import extract_app, extract_bundle
 from repro.statics.callgraph import CallGraph
 from repro.statics.constprop import ValueAnalysis
@@ -489,12 +489,8 @@ class TestExtractionSpans:
     def test_each_pass_has_its_own_span(self):
         """Value analysis is timed apart from the call graph: every AME
         pass is one child span of ``ame.extract``, in the order it runs."""
-        tracer = InMemoryTracer()
-        previous = set_tracer(tracer)
-        try:
+        with tracing(InMemoryTracer()) as tracer:
             extract_app(build_app1())
-        finally:
-            set_tracer(previous)
         [root] = [r for r in tracer.records if r.name == "ame.extract"]
         children = [
             r.name for r in tracer.records if r.parent_id == root.span_id
@@ -511,12 +507,8 @@ class TestExtractionSpans:
         """The size of each analysis rides on the span that times it, and
         equals what the analysis computes on its own."""
         apk = build_app1()
-        tracer = InMemoryTracer()
-        previous = set_tracer(tracer)
-        try:
+        with tracing(InMemoryTracer()) as tracer:
             extract_app(apk)
-        finally:
-            set_tracer(previous)
         attrs = {r.name: r.attrs for r in tracer.records}
         callgraph = CallGraph(apk)
         values = ValueAnalysis(callgraph)
