@@ -14,8 +14,16 @@ use disjoint cache keys but produce byte-identical findings.
 Determinism: workers communicate via the canonical JSON forms in
 ``repro.core.serialize`` and results are reassembled in (bundle, signature)
 index order, so serial (``jobs=1``) and parallel runs produce byte-identical
-findings and policies.  Signatures are addressed by registry name
+findings and policies.  Synthesis tasks are dispatched largest first, by
+their bundle's detector findings, but only the dispatch order moves: cache
+writes, cost charges, metrics and the report still follow index order.
+Signatures are addressed by registry name
 (``repro.core.vulnerabilities.lookup``) to stay picklable.
+
+Memory: each stage runs with the heap it starts with frozen
+(``gc.freeze``), so neither the orchestrator's collections nor those of
+the forked workers that inherit it traverse the modules, APKs and models
+the stage was handed.
 
 Fault tolerance: every task is dispatched individually under a
 :class:`FaultPolicy` -- a configurable per-task timeout, bounded retries
@@ -47,7 +55,9 @@ own retry loop -- exactly once, so a pool break cannot double-count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import math
 import multiprocessing
 import time
@@ -61,6 +71,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -70,7 +81,7 @@ from typing import (
 
 from repro.android.apk import Apk
 from repro.core import serialize
-from repro.core.detector import DetectionReport
+from repro.core.detector import DetectionReport, SeparDetector
 from repro.core.model import AppModel, BundleModel
 from repro.core.separ import Separ, SeparReport
 from repro.core.synthesis import AnalysisAndSynthesisEngine
@@ -285,6 +296,44 @@ def _adopt_round(fn: Callable[[Any], Any], items: Sequence[Any]) -> None:
 def _run_adopted(idx: int) -> Any:
     fn, items = _ROUND
     return fn(items[idx])
+
+
+#: The collector's permanent generation as the interpreter starts it:
+#: Python 3.12 keeps a few hundred of its own objects there, other
+#: versions none.  More than that on a stage's entry is a freeze in force.
+_INTERPRETER_FREEZE_COUNT = gc.get_freeze_count()
+
+
+@contextlib.contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Keep what a stage starts with out of the cycle collector's way.
+
+    Every object alive on entry -- the orchestrator's modules, APKs and
+    models -- moves to the collector's permanent generation
+    (``gc.freeze``) until the stage ends (``gc.unfreeze``).  Forked pool
+    workers inherit that state, so their collections neither traverse
+    those objects nor write to them (which would copy their pages), and
+    the orchestrator's own collections skip them too.  Reference
+    counting still frees them; a freeze already in force on entry is
+    left alone.
+    """
+    if gc.get_freeze_count() > _INTERPRETER_FREEZE_COUNT:
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def _finding_count(detection: DetectionReport) -> int:
+    """A bundle's synthesis cost estimate: its detector findings.
+
+    A bundle with none folds every signature group away at translation,
+    so its synthesis is a small fraction of one that has some.
+    """
+    return sum(len(components) for components in detection.findings.values())
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +814,6 @@ class AnalysisPipeline:
         processes = list(procs.values()) if procs else []
         try:
             pool.shutdown(wait=False, cancel_futures=True)
-        except TypeError:  # Python < 3.9: no cancel_futures
-            pool.shutdown(wait=False)
         except Exception:
             pass
         for proc in processes:
@@ -825,6 +872,7 @@ class AnalysisPipeline:
             )
 
     # ------------------------------------------------------------------
+    @_frozen_heap()
     def extract_apps(
         self,
         apks: Sequence[Apk],
@@ -967,6 +1015,7 @@ class AnalysisPipeline:
         attach_observability(run_report, tracer=tracer)
         return result
 
+    @_frozen_heap()
     def analyze_bundles(
         self,
         bundle_models: Sequence[BundleModel],
@@ -982,6 +1031,12 @@ class AnalysisPipeline:
         into ``metrics`` (fresh ones unless :meth:`run` passes its own).
         Their entries and snapshot become ``run_report.cost`` and
         ``run_report.metrics``; a cached payload adds a cache hit only.
+
+        Each bundle's detection runs once, before dispatch: cache misses
+        are dispatched in descending order of their bundle's findings
+        (ties in index order), so the longest syntheses start first and
+        no worker is left alone on a large bundle at the end.  Assembly
+        reuses the detection.
         """
         run_report = run_report if run_report is not None else RunReport(jobs=self.jobs)
         ledger = ledger if ledger is not None else CostLedger()
@@ -1028,6 +1083,13 @@ class AnalysisPipeline:
             ]
             miss_indices = [i for i, c in enumerate(cached) if c is None]
             stage.set(tasks=len(tasks), cache_misses=len(miss_indices))
+            detections = [
+                SeparDetector().detect(bundle) for bundle in bundle_models
+            ]
+            findings = [_finding_count(d) for d in detections]
+            dispatch = sorted(
+                miss_indices, key=lambda i: (-findings[tasks[i][0]], i)
+            )
             if self.shared_encoding:
                 task_payloads = [
                     {
@@ -1035,7 +1097,7 @@ class AnalysisPipeline:
                         "signatures": list(self.signature_names),
                         "params": params,
                     }
-                    for i in miss_indices
+                    for i in dispatch
                 ]
                 worker, label = _shared_synthesis_worker, _shared_task_key
             else:
@@ -1045,7 +1107,7 @@ class AnalysisPipeline:
                         "signature": tasks[i][1],
                         "params": params,
                     }
-                    for i in miss_indices
+                    for i in dispatch
                 ]
                 worker, label = _synthesis_worker, _synthesis_task_key
             outcomes = self._map(
@@ -1073,9 +1135,9 @@ class AnalysisPipeline:
             for i in range(len(tasks)):
                 if i not in missed:
                     ledger.charge(account(i), cache_hits=1)
-            for index, payload_task, outcome in zip(
-                miss_indices, task_payloads, outcomes
-            ):
+            computed = dict(zip(dispatch, zip(task_payloads, outcomes)))
+            for index in miss_indices:
+                payload_task, outcome = computed[index]
                 if not outcome.ok:
                     run_report.failures.append(outcome.failure.to_dict())
                     continue
@@ -1115,7 +1177,9 @@ class AnalysisPipeline:
                     if tb == b and payload is not None
                 )
                 stats = result.stats
-                report = Separ.assemble_report(bundle, result)
+                report = Separ.assemble_report(
+                    bundle, result, detection=detections[b]
+                )
                 reports.append(report)
                 run_report.solver.add_synthesis_stats(stats)
                 run_report.construction_seconds += stats.construction_seconds

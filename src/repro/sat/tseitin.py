@@ -1,10 +1,17 @@
 """Boolean circuits and Tseitin transformation to CNF.
 
 The relational translator builds large and/or/not circuits over matrix
-entries; this module gives those circuits a hash-consed representation and a
+entries; this module gives those circuits a structural representation and a
 polynomial-size conversion to clauses.  Constants are folded eagerly so the
 translator can freely combine bound-derived ``TRUE``/``FALSE`` entries with
 real variables without blowing up the clause database.
+
+Nodes are not hash-consed.  Each computes its structural hash once, when
+built, and two nodes are equal when their kind and children are equal, so
+the same sub-circuit built twice is two equal objects.  The
+:class:`TseitinEncoder` cache is keyed by that equality, so both still get
+one auxiliary variable.  Only the constants and variable nodes are shared
+objects.
 """
 
 from __future__ import annotations

@@ -31,9 +31,10 @@ Architecture (see ``docs/SERVICE.md``):
 - shutdown (the ``shutdown`` op, :meth:`PolicyService.request_shutdown`,
   or SIGTERM/SIGINT in the CLI) stops accepting, lets each device finish
   and answer the batch it is running, answers every other request --
-  queued, or sent since -- with ``shutting_down``, closes connections
-  that are waiting for a request, and tears the metrics thread, ready
-  file, and socket down.
+  queued, already received on a connection (pipelined behind a running
+  one), or sent since -- with ``shutting_down``, closes connections that
+  are waiting for a request, and tears the metrics thread, ready file,
+  and socket down.
 
 :class:`PolicyService` owns the lifecycle.  ``asyncio.run(service.run())``
 is the CLI entry; ``service.background()`` runs the same loop on a
@@ -198,7 +199,9 @@ class PolicyService:
 
         Stop accepting; a device worker running a batch answers it and
         takes no new one, an idle worker stops at once.  Requests still
-        queued, and any read meanwhile, are answered ``shutting_down``.
+        queued, and any read meanwhile, are answered ``shutting_down``;
+        each connection answers the lines it has already received and
+        reads no more (:meth:`_serve_connection`).
         Connections waiting for a request are closed rather than waited
         on, and this returns once every connection has written its last
         answer and closed.
@@ -270,8 +273,16 @@ class PolicyService:
     ) -> None:
         task = asyncio.current_task()
         self._connections[task] = writer
+        draining = False
         try:
-            while not self._shutdown.is_set():
+            while True:
+                if self._shutdown.is_set() and not draining:
+                    # Answer the requests this connection has already
+                    # received, pipelined ones included, then close:
+                    # read nothing more from the socket.
+                    draining = True
+                    writer.transport.pause_reading()
+                    reader.feed_eof()
                 self._idle.add(task)
                 try:
                     line = await reader.readline()
@@ -294,7 +305,9 @@ class PolicyService:
                     break
                 finally:
                     self._idle.discard(task)
-                if not line:
+                if not line or (draining and not line.endswith(b"\n")):
+                    # End of stream, or a request whose end had not
+                    # arrived when shutdown began.
                     break
                 if not line.strip():
                     continue

@@ -127,6 +127,10 @@ class ValueAnalysis:
         # ``(summary tag, key)``, and whether one has grown since.
         self._read_slots: Set[Tuple[str, object]] = set()
         self._regrown = False
+        # One value set per string constant, shared by every
+        # ``ConstString`` that loads it: they are most of an app's
+        # instructions.
+        self._string_sets: Dict[str, ValueSet] = {}
         #: Method analyses run, one per method per round.
         self.method_analyses = 0
         # Final result: register states *before* each instruction.
@@ -246,7 +250,11 @@ class ValueAnalysis:
         """Apply one instruction to ``state``, reading and growing the
         global summaries (heap, statics, parameters, returns)."""
         if isinstance(instr, ConstString):
-            state[instr.dest] = frozenset({StrVal(instr.value)})
+            string_set = self._string_sets.get(instr.value)
+            if string_set is None:
+                string_set = frozenset({StrVal(instr.value)})
+                self._string_sets[instr.value] = string_set
+            state[instr.dest] = string_set
         elif isinstance(instr, Move):
             state[instr.dest] = state.get(instr.src, frozenset({UNKNOWN}))
         elif isinstance(instr, NewInstance):

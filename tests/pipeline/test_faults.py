@@ -17,6 +17,7 @@ shared default, and ``TestSharedModeFaults`` covers the bundle-level
 failure unit explicitly."""
 
 import errno
+import gc
 import json
 import multiprocessing
 import os
@@ -26,6 +27,7 @@ import pytest
 from repro.benchsuite.metrics import summarize_run_report
 from repro.benchsuite.running_example import build_app1, build_app2
 from repro.core import serialize
+from repro.core.detector import SeparDetector
 from repro.core.synthesis import AnalysisAndSynthesisEngine, SynthesisStats
 from repro.core.vulnerabilities import default_signatures
 from repro.pipeline import (
@@ -649,6 +651,56 @@ class TestMetricsNoDoubleCount:
         expected = _solver_metrics(clean)
         assert expected["sat.solver_calls"] > 0
         assert _solver_metrics(report.metrics) == expected
+
+
+class TestHeapFreeze:
+    """Each stage unfreezes the heap it froze however it ends, so a run
+    leaves nothing frozen, and it leaves a freeze already in force on
+    entry alone."""
+
+    @pytest.mark.parametrize(
+        "jobs, spec, timeout, failures",
+        [
+            (2, None, None, []),
+            (1, "synthesis:error:1.0:match=intent_hijack", None, ["error"]),
+            (2, "synthesis:crash:1.0:match=intent_hijack", None, ["crash"]),
+            (2, "synthesis:hang:1.0:match=intent_hijack", 1.0, ["timeout"]),
+        ],
+        ids=["clean", "task-error", "pool-break", "timeout-kill"],
+    )
+    def test_run_leaves_no_freeze_behind(
+        self, arm_fault, jobs, spec, timeout, failures
+    ):
+        if spec is not None:
+            arm_fault(spec)
+        result = AnalysisPipeline(
+            jobs=jobs,
+            signature_names=["intent_hijack", "service_launch"],
+            scenarios_per_signature=2,
+            faults=FaultPolicy(
+                task_timeout=timeout, max_retries=0, backoff_seconds=0.0
+            ),
+            shared_encoding=False,
+        ).run([_apks()])
+        assert gc.get_freeze_count() == 0
+        assert [f["kind"] for f in result.run_report.failures] == failures
+
+    def test_a_stage_that_raises_unfreezes(self, monkeypatch):
+        def broken(self, bundle):
+            raise RuntimeError("detector bug")
+
+        monkeypatch.setattr(SeparDetector, "detect", broken)
+        with pytest.raises(RuntimeError, match="detector bug"):
+            AnalysisPipeline(jobs=1, scenarios_per_signature=2).run([_apks()])
+        assert gc.get_freeze_count() == 0
+
+    def test_a_freeze_in_force_on_entry_survives(self):
+        gc.freeze()
+        try:
+            AnalysisPipeline(jobs=1, scenarios_per_signature=2).run([_apks()])
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestSynthesisStatsMerge:

@@ -12,8 +12,9 @@ import pytest
 
 from repro.benchsuite.running_example import build_app1, build_app2
 from repro.core import serialize
+from repro.core.detector import SeparDetector
 from repro.core.separ import Separ
-from repro.pipeline import AnalysisPipeline, PipelineCache, RunReport
+from repro.pipeline import AnalysisPipeline, PipelineCache, RunReport, executor
 from repro.workloads import CorpusConfig, CorpusGenerator
 from repro.workloads.bundles import partition_bundles
 
@@ -63,6 +64,67 @@ class TestSerialParallelIdentical:
         )
         assert _findings_bytes(serial) == _findings_bytes(parallel)
         assert parallel.run_report.jobs == 3
+
+
+class TestDispatchOrder:
+    """Synthesis is dispatched largest bundle first, by detector findings
+    (2, 4 and 6 for these bundles); only the dispatch order moves."""
+
+    BUNDLES = (
+        (build_app2,),
+        (build_app1,),
+        (build_app1, build_app2),
+    )
+
+    def _run(self, monkeypatch, by_findings):
+        dispatched, detected = [], []
+        worker = executor._shared_synthesis_worker
+        detect = SeparDetector.detect
+
+        def recording_worker(task):
+            dispatched.append(sorted(a["package"] for a in task["apps"]))
+            return worker(task)
+
+        def counting_detect(self, bundle):
+            detected.append(sorted(a.package for a in bundle.apps))
+            return detect(self, bundle)
+
+        bundles = [[build() for build in bundle] for bundle in self.BUNDLES]
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "_shared_synthesis_worker", recording_worker)
+            patch.setattr(SeparDetector, "detect", counting_detect)
+            if not by_findings:
+                # Every bundle ties, so ties decide: index order.
+                patch.setattr(executor, "_finding_count", lambda detection: 0)
+            result = AnalysisPipeline(jobs=1, scenarios_per_signature=2).run(
+                bundles
+            )
+        packages = [sorted(a.package for a in b) for b in bundles]
+        assert sorted(detected) == sorted(packages)
+        return result, dispatched, packages
+
+    @staticmethod
+    def _report_view(result):
+        report = result.run_report
+        cost = [
+            {k: v for k, v in entry.items() if k not in ("trace_id", "wall_seconds")}
+            for entry in report.cost
+        ]
+        counters = {
+            name: metric["value"]
+            for name, metric in report.metrics.items()
+            if metric["type"] == "counter"
+        }
+        return cost, report.per_bundle, counters, _findings_bytes(result)
+
+    def test_largest_first_and_the_report_stays_in_bundle_order(
+        self, monkeypatch
+    ):
+        largest, dispatched, packages = self._run(monkeypatch, True)
+        assert dispatched == packages[::-1]
+        indexed, dispatched, packages = self._run(monkeypatch, False)
+        assert dispatched == packages
+        assert self._report_view(largest) == self._report_view(indexed)
 
 
 class TestCaching:

@@ -6,14 +6,20 @@ pickled.  Under ``spawn`` (and ``forkserver``) every task still carries
 its own pickled item.  That spawned rounds return what an in-process
 (``jobs=1``) run returns is checked by the spawn cases of
 ``test_observability.py`` and ``test_faults.py``.
+
+Each stage also freezes the heap it starts with, and forked workers
+inherit the freeze.
 """
 
+import gc
 import multiprocessing
+import os
 
 import pytest
 
+from repro.benchsuite.running_example import build_app1, build_app2
 from repro.obs import MetricsRegistry
-from repro.pipeline import AnalysisPipeline, FaultPolicy
+from repro.pipeline import AnalysisPipeline, FaultPolicy, executor
 
 
 class Unpicklable:
@@ -68,3 +74,37 @@ def test_unpicklable_items_fail_cleanly_under_spawn():
     assert all(o.failure is not None for o in outcomes)
     assert all(o.failure.kind == "error" for o in outcomes)
     assert "must not be pickled" in outcomes[0].failure.error
+
+
+@pytest.mark.parametrize("jobs, start_method", [(1, None), (2, "fork")])
+def test_tasks_run_on_a_frozen_heap(
+    monkeypatch, tmp_path, jobs, start_method
+):
+    """Both stages freeze the heap they start with (``gc.freeze``); forked
+    workers inherit that state, and the run leaves no freeze behind."""
+    if start_method is not None:
+        _require(start_method)
+    seen = tmp_path / "freeze-counts"
+
+    def recording(worker):
+        def run(task):
+            with open(seen, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
+            return worker(task)
+
+        return run
+
+    for name in ("_extract_worker", "_shared_synthesis_worker"):
+        monkeypatch.setattr(
+            executor, name, recording(getattr(executor, name))
+        )
+    # Python 3.12 starts with a few hundred objects of its own frozen.
+    before = gc.get_freeze_count()
+    AnalysisPipeline(
+        jobs=jobs, start_method=start_method, scenarios_per_signature=2
+    ).run([[build_app1()], [build_app2()]])
+    rows = [line.split() for line in seen.read_text().splitlines()]
+    assert len(rows) == 4  # two apps extracted, two bundles synthesized
+    assert all(int(count) > before for _pid, count in rows)
+    assert all((int(pid) != os.getpid()) == (jobs > 1) for pid, _ in rows)
+    assert gc.get_freeze_count() == 0

@@ -719,6 +719,50 @@ class TestShutdown:
         assert isinstance(queued_outcome["error"], ServiceError)
         assert queued_outcome["error"].kind == "shutting_down"
 
+    def test_a_decide_pipelined_behind_a_running_one_fails(
+        self, app_dicts, held_decide
+    ):
+        """A second ``decide`` written on the same connection right behind
+        a running one was received before shutdown began: it is answered
+        ``shutting_down`` before the connection closes, not dropped."""
+        entered, release = held_decide
+        service = PolicyService(make_config())
+        service.start_background()
+        host, port = service.address
+        with ServiceClient(host, port) as setup:
+            for app in app_dicts.values():
+                setup.install("dev1", app)
+            setup.analyze("dev1")
+        requests = b"".join(
+            protocol.encode_message(
+                {
+                    "id": rid,
+                    "op": "decide",
+                    "device": "dev1",
+                    "kind": "icc_receive",
+                    "event": DECIDE_EVENT,
+                }
+            )
+            for rid in (1, 2)
+        )
+        with socket.create_connection((host, port), timeout=30) as sock:
+            replies = sock.makefile("rb")
+            sock.sendall(requests)
+            assert entered.wait(timeout=30)
+            service.request_shutdown()
+            self._wait_for(service._shutdown.is_set)
+            release.set()
+            lines = [replies.readline() for _ in range(3)]
+        service._thread.join(timeout=30)
+        assert not service._thread.is_alive()
+        running, pipelined = (json.loads(line) for line in lines[:2])
+        assert running["id"] == 1
+        assert running["result"]["decision"] in ("allow", "deny")
+        assert pipelined["id"] == 2
+        assert not pipelined["ok"]
+        assert pipelined["error"]["kind"] == "shutting_down"
+        assert lines[2] == b""
+
     def test_a_decide_waiting_past_the_request_timeout_fails(
         self, app_dicts, held_decide
     ):

@@ -471,3 +471,35 @@ def test_converged_program_analyzes_each_method_once():
     )
     values = ValueAnalysis(CallGraph(apk))
     assert values.method_analyses == 2
+
+
+def test_one_value_set_per_string_constant():
+    """Every ``ConstString`` of one string shares one value set, across
+    methods; the reference transfer above builds a fresh set each time."""
+    apk = _apk(
+        "shared",
+        [
+            DexClass(
+                "C0",
+                methods=[
+                    MethodBuilder("onCreate", params=("p0",))
+                    .const_string("v0", "x")
+                    .const_string("v1", "x")
+                    .const_string("v2", "y")
+                    .invoke("C0.helper", args=("v0",))
+                    .ret()
+                    .build(),
+                    MethodBuilder("helper", params=("p0",))
+                    .const_string("v0", "x")
+                    .ret("v0")
+                    .build(),
+                ],
+            )
+        ],
+    )
+    values = ValueAnalysis(CallGraph(apk))
+    after_loads = values.values_before("C0.onCreate", 3)
+    x, y = after_loads["v0"], after_loads["v2"]
+    assert x == frozenset({StrVal("x")}) and y == frozenset({StrVal("y")})
+    assert after_loads["v1"] is x
+    assert values.values_before("C0.helper", 1)["v0"] is x
