@@ -158,8 +158,10 @@ class RelationalProblem:
         so several goals can share this problem's translation and solver:
         pass ``[selector]`` (plus the negations of the other groups'
         selectors) as ``assumptions`` to the query methods.  Tseitin
-        definitions are hash-consed with everything translated before, so
-        shared subcircuits cost nothing the second time.
+        definitions are shared with everything translated before: nodes
+        are not hash-consed, but the encoder's cache is keyed by
+        structural equality, so a subcircuit built again gets the
+        definition it got the first time and costs no new clauses.
 
         ``mask`` lists ``(relation, tuple)`` rows to fold to FALSE during
         this translation; only sound when other clauses (typing +

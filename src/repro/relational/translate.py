@@ -283,15 +283,31 @@ class Translator:
 
     @staticmethod
     def _at_most_one(nodes: List[ts.Node]) -> ts.Node:
-        """Linear-size sequential (ladder) at-most-one circuit."""
+        """Sequential (ladder) at-most-one circuit of linear size.
+
+        Each operand may not hold together with the prefix, the
+        disjunction of the operands before it (Sinz's sequential
+        counter).  The prefix then grows by one binary ``or`` node over
+        the previous prefix and the operand, built directly rather than
+        through :func:`ts.or_`: ``or_`` flattens its operands, which
+        would make prefix *k* a fresh *k*-ary node with *k* + 1
+        definition clauses, quadratic over the ladder.  A TRUE operand
+        makes the prefix TRUE and a repeated operand leaves it as it
+        is.  Each operand thus adds its pairwise constraint and at most
+        one prefix node of three definition clauses.
+        """
         live = [n for n in nodes if n is not ts.FALSE]
         if len(live) <= 1:
             return ts.TRUE
         constraints: List[ts.Node] = []
-        seen_before = live[0]
+        prefix = live[0]
+        seen = {prefix}
         for node in live[1:]:
-            constraints.append(ts.not_(ts.and_(seen_before, node)))
-            seen_before = ts.or_(seen_before, node)
+            constraints.append(ts.not_(ts.and_(prefix, node)))
+            if prefix is ts.TRUE or node in seen:
+                continue
+            seen.add(node)
+            prefix = ts.TRUE if node is ts.TRUE else ts.Node("or", (prefix, node))
         return ts.all_of(constraints)
 
     def _quantified(

@@ -22,7 +22,12 @@ from repro.sat.cnf import CNF
 
 
 class Node:
-    """A node in a boolean circuit; use the module factories to build them."""
+    """A node in a boolean circuit; use the module factories to build them.
+
+    The one exception is a chain that must not be flattened (see
+    :func:`_fold`): ``Translator._at_most_one`` builds its binary prefix
+    nodes directly.
+    """
 
     __slots__ = ("kind", "children", "_hash")
 
@@ -91,6 +96,13 @@ def _fold(
     factory-built nodes are already folded, so rebuilding it would give
     an equal node (and the Tseitin cache, keyed by equality, the same
     variable).
+
+    Flattening is what gives equal disjunctions (and conjunctions) one
+    Tseitin variable, but it makes a running accumulator quadratic:
+    ``acc = or_(acc, x)`` rebuilds every earlier operand into a fresh
+    *k*-ary node, each with its own variable and *k* + 1 definition
+    clauses.  Build such a chain from binary nodes instead, as
+    ``Translator._at_most_one`` does for its prefixes.
     """
     if len(operands) == 1:
         return operands[0]

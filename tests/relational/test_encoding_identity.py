@@ -15,6 +15,17 @@ operand on every call, and ``add_clause`` as it was -- swaps it in with
 bundle yields the same clauses in the same order over the same
 variables, the same solver counters and the same scenarios.
 
+The at-most-one ladder is the one place the CNF changes on purpose:
+``Translator._at_most_one`` builds each prefix as one binary ``or``,
+where the ladder kept here as ``reference_at_most_one`` re-flattened
+every prefix through ``or_`` into a fresh *k*-ary node, quadratic in
+clauses.  Both encode the same constraint, and canonical minimization
+returns the lex-least model over the primary variables, a function of
+the formula's models alone.  So with the reference ladder swapped in,
+scenarios, policies and the cache payload (its ``stats`` aside) must
+stay identical, while every bundle with a live signature group costs
+strictly fewer clauses on the linear ladder.
+
 The comparison runs inside one interpreter, so it holds on any Python
 version (a golden digest would pin one ``hash`` implementation).
 Bundles: the paper's running example; from the CI smoke corpus, one
@@ -30,8 +41,10 @@ import random
 import pytest
 
 from repro.benchsuite.running_example import build_app1, build_app2
-from repro.core.serialize import scenario_to_dict
+from repro.core.policy import derive_policies
+from repro.core.serialize import policy_to_dict, scenario_to_dict
 from repro.core.synthesis import AnalysisAndSynthesisEngine
+from repro.pipeline.synthesis_key import synthesis_payload
 from repro.relational.translate import Matrix, Translator
 from repro.sat import tseitin as ts
 from repro.sat.fastsolver import _FALSE, _TRUE, _UNDEF, FastSolver
@@ -159,6 +172,19 @@ def reference_add_clause(self, literals):
     return self._attach_live(lits)
 
 
+def reference_at_most_one(nodes):
+    """The ladder with each prefix re-flattened by ``or_``."""
+    live = [n for n in nodes if n is not ts.FALSE]
+    if len(live) <= 1:
+        return ts.TRUE
+    constraints = []
+    seen_before = live[0]
+    for node in live[1:]:
+        constraints.append(ts.not_(ts.and_(seen_before, node)))
+        seen_before = ts.or_(seen_before, node)
+    return ts.all_of(constraints)
+
+
 def use_reference(monkeypatch):
     """Route construction through the reference until the patch is undone.
 
@@ -214,9 +240,12 @@ def _fuzz_bundle():
 # ----------------------------------------------------------------------
 def _synthesize(apks):
     engine = AnalysisAndSynthesisEngine(scenarios_per_signature=2)
-    result = engine.run_shared(extract_bundle(apks))
+    bundle = extract_bundle(apks)
+    result = engine.run_shared(bundle)
     problem = engine.last_problem
     cnf = problem._record.cnf
+    payload = synthesis_payload(result)
+    del payload["stats"]
     return {
         "clauses": list(cnf.clauses),
         "num_vars": cnf.num_vars,
@@ -224,6 +253,11 @@ def _synthesize(apks):
         "scenarios": json.dumps(
             [scenario_to_dict(s) for s in result.scenarios], sort_keys=True
         ),
+        "policies": json.dumps(
+            [policy_to_dict(p) for p in derive_policies(result.scenarios, bundle)],
+            sort_keys=True,
+        ),
+        "payload": json.loads(json.dumps(payload)),
         "dead_gates": len(problem.dead_gates),
         "signatures": len(engine.signatures),
     }
@@ -243,6 +277,30 @@ def _assert_identical(monkeypatch, apks):
     return built
 
 
+def _assert_same_findings(monkeypatch, apks):
+    """Synthesize on the linear ladder and on the flattened reference.
+
+    Returns the linear side's synthesis, both sides' clause counts
+    ``(linear, flattened)`` and the number of ladders the reference
+    built.
+    """
+    built = _synthesize(apks)
+    ladders = []
+
+    def counted(nodes):
+        ladders.append(len(nodes))
+        return reference_at_most_one(nodes)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Translator, "_at_most_one", staticmethod(counted))
+        flattened = _synthesize(apks)
+    assert built["scenarios"] == flattened["scenarios"]
+    assert built["policies"] == flattened["policies"]
+    assert built["payload"] == flattened["payload"]
+    clauses = (built["stats"]["num_clauses"], flattened["stats"]["num_clauses"])
+    return built, clauses, len(ladders)
+
+
 class TestEncodingIdentity:
     def test_running_example(self, monkeypatch):
         built = _assert_identical(monkeypatch, [build_app1(), build_app2()])
@@ -260,3 +318,34 @@ class TestEncodingIdentity:
         built = _assert_identical(monkeypatch, _fuzz_bundle())
         assert built["dead_gates"] < built["signatures"]
 
+
+class TestLinearLadderFindings:
+    """The linear ladder changes the CNF, never what synthesis finds."""
+
+    def test_running_example(self, monkeypatch):
+        built, (linear, flattened), ladders = _assert_same_findings(
+            monkeypatch, [build_app1(), build_app2()]
+        )
+        assert built["scenarios"] != "[]" and ladders > 0
+        assert linear < flattened
+
+    def test_smoke_corpus_live_bundle(self, monkeypatch, smoke_bundles):
+        built, (linear, flattened), ladders = _assert_same_findings(
+            monkeypatch, smoke_bundles[LIVE_BUNDLE]
+        )
+        assert built["dead_gates"] < built["signatures"] and ladders > 0
+        assert linear < flattened
+
+    def test_smoke_corpus_folded_bundle(self, monkeypatch, smoke_bundles):
+        built, (linear, flattened), _ = _assert_same_findings(
+            monkeypatch, smoke_bundles[FOLDED_BUNDLE]
+        )
+        assert built["dead_gates"] == built["signatures"]
+        assert linear == flattened
+
+    def test_injected_vulnerable_bundle(self, monkeypatch):
+        built, (linear, flattened), ladders = _assert_same_findings(
+            monkeypatch, _fuzz_bundle()
+        )
+        assert built["dead_gates"] < built["signatures"] and ladders > 0
+        assert linear < flattened
