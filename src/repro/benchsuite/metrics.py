@@ -91,12 +91,18 @@ def score_tool(
 def summarize_run_report(report: Any) -> Dict[str, float]:
     """Flatten a pipeline :class:`~repro.pipeline.stats.RunReport` (or its
     dict form) into the key figures the Table 2 / Fig 5 benchmark tables
-    print: per-stage wall time, the construction/solving split, cache hit
-    rate, CDCL solver effort, and shared-encoding reuse (translations
-    performed vs avoided, base clauses warm queries reused)."""
+    print: per-stage wall time, cache hit rate, and the work this run did,
+    read from its metrics: the construction/solving split, CDCL solver
+    effort, and shared-encoding reuse (translations performed vs avoided,
+    base clauses warm queries reused).  A warm run's figures are its own:
+    cache hits, and no solver work."""
     data = report.to_dict() if hasattr(report, "to_dict") else dict(report)
     cache = data.get("cache", {})
-    solver = data.get("solver", {})
+    metrics = data.get("metrics", {})
+
+    def metric(name: str, key: str = "value") -> float:
+        return float(metrics.get(name, {}).get(key, 0))
+
     hits = cache.get("total_hits", 0)
     misses = cache.get("total_misses", 0)
     lookups = hits + misses
@@ -107,23 +113,21 @@ def summarize_run_report(report: Any) -> Dict[str, float]:
         "num_scenarios": float(data.get("num_scenarios", 0)),
         "num_policies": float(data.get("num_policies", 0)),
         "total_seconds": float(data.get("total_seconds", 0.0)),
-        "construction_seconds": float(data.get("construction_seconds", 0.0)),
-        "solving_seconds": float(data.get("solving_seconds", 0.0)),
+        "construction_seconds": metric("ase.construction_seconds", "sum"),
+        "solving_seconds": metric("ase.solving_seconds", "sum"),
         "cache_hits": float(hits),
         "cache_misses": float(misses),
         "cache_invalidations": float(cache.get("total_invalidations", 0)),
         "cache_hit_rate": (hits / lookups) if lookups else 0.0,
-        "solver_calls": float(solver.get("solver_calls", 0)),
-        "conflicts": float(solver.get("conflicts", 0)),
-        "decisions": float(solver.get("decisions", 0)),
-        "propagations": float(solver.get("propagations", 0)),
-        "num_clauses": float(solver.get("num_clauses", 0)),
-        "translations": float(solver.get("translations", 0)),
-        "translations_avoided": float(
-            solver.get("translations_avoided", 0)
-        ),
-        "clauses_shared": float(solver.get("clauses_shared", 0)),
-        "learned_carried": float(solver.get("learned_carried", 0)),
+        "solver_calls": metric("sat.solver_calls"),
+        "conflicts": metric("sat.conflicts"),
+        "decisions": metric("sat.decisions"),
+        "propagations": metric("sat.propagations"),
+        "num_clauses": metric("ase.num_clauses", "sum"),
+        "translations": metric("ase.translations"),
+        "translations_avoided": metric("ase.translations_avoided"),
+        "clauses_shared": metric("ase.clauses_shared"),
+        "learned_carried": metric("ase.learned_carried"),
         "num_failures": float(len(data.get("failures", ()))),
         "num_degraded": float(len(data.get("degraded", ()))),
     }

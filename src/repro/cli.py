@@ -221,6 +221,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from repro.benchsuite.metrics import summarize_run_report
     from repro.pipeline import (
         AnalysisPipeline,
         FaultPolicy,
@@ -289,22 +290,25 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     )
     for timing in report.stages:
         print(f"  {timing.name}: {timing.seconds:.2f}s")
+    # This run's own cache traffic and solver work: a cached payload
+    # adds no solver work.
+    work = summarize_run_report(report)
     print(
-        f"  cache: {report.cache.total_hits} hits, "
-        f"{report.cache.total_misses} misses, "
-        f"{report.cache.total_invalidations} invalidations"
-    )
-    solver = report.solver
-    print(
-        f"  solver: {solver.solver_calls} calls, "
-        f"{solver.conflicts} conflicts, {solver.decisions} decisions, "
-        f"{solver.propagations} propagations"
+        f"  cache: {work['cache_hits']:.0f} hits, "
+        f"{work['cache_misses']:.0f} misses, "
+        f"{work['cache_invalidations']:.0f} invalidations"
     )
     print(
-        f"  encoding: {solver.translations} translations "
-        f"({solver.translations_avoided} avoided), "
-        f"{solver.clauses_shared} clauses shared, "
-        f"{solver.learned_carried} learned clauses carried"
+        f"  solver: {work['solver_calls']:.0f} calls, "
+        f"{work['conflicts']:.0f} conflicts, "
+        f"{work['decisions']:.0f} decisions, "
+        f"{work['propagations']:.0f} propagations"
+    )
+    print(
+        f"  encoding: {work['translations']:.0f} translations "
+        f"({work['translations_avoided']:.0f} avoided), "
+        f"{work['clauses_shared']:.0f} clauses shared, "
+        f"{work['learned_carried']:.0f} learned clauses carried"
     )
     if report.failures:
         print(f"  failures: {len(report.failures)} task(s)")

@@ -14,9 +14,10 @@ The policies feed :class:`repro.enforcement.pep.PolicyEnforcementPoint`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.android.apk import Apk
+from repro.core import serialize
 from repro.core.detector import DetectionReport, SeparDetector
 from repro.core.model import BundleModel
 from repro.core.policy import ECAPolicy, derive_policies
@@ -45,6 +46,19 @@ class SeparReport:
             if scenario.victim_app:
                 apps.add(scenario.victim_app)
         return sorted(apps)
+
+    def findings(self) -> Dict[str, Any]:
+        """The bundle's findings in canonical, diffable form: one entry
+        of ``PipelineResult.findings_dict`` and the service's ``analyze``
+        answer."""
+        return {
+            "apps": sorted(a.package for a in self.bundle.apps),
+            "scenarios": [
+                serialize.scenario_to_dict(s) for s in self.scenarios
+            ],
+            "policies": [serialize.policy_to_dict(p) for p in self.policies],
+            "detection": self.detection.to_dict(),
+        }
 
     def summary(self) -> str:
         grouped: Dict[str, int] = {}

@@ -22,13 +22,11 @@ from repro.pipeline.executor import (
     AnalysisPipeline,
     FaultPolicy,
     PipelineResult,
-    attach_observability,
 )
 from repro.pipeline.faults import FAULT_ENV, FAULT_STATE_ENV, InjectedFault
 from repro.pipeline.stats import (
     CacheAccounting,
     RunReport,
-    SolverCounters,
     StageTiming,
     TaskFailure,
 )
@@ -41,12 +39,10 @@ __all__ = [
     "FAULT_ENV",
     "FAULT_STATE_ENV",
     "PipelineResult",
-    "attach_observability",
     "PipelineCache",
     "NullCache",
     "CacheAccounting",
     "RunReport",
-    "SolverCounters",
     "StageTiming",
     "CACHE_DIR_ENV",
     "CACHE_FORMAT_VERSION",

@@ -91,7 +91,6 @@ from repro.obs import (
     CostLedger,
     JsonlTracer,
     MetricsRegistry,
-    Tracer,
     adopt_trace_context,
     aggregate_spans,
     current_trace_context,
@@ -392,26 +391,6 @@ def _book_cache(
             )
 
 
-def attach_observability(
-    report: RunReport,
-    trace_path: Optional[str] = None,
-    tracer: Optional[Tracer] = None,
-) -> RunReport:
-    """Fold the spans of ``trace_path`` or ``tracer`` into a run report.
-
-    Aggregates span records into ``report.spans`` -- from the JSONL file
-    at ``trace_path`` or the one ``tracer`` appends to (which also holds
-    the worker processes' spans), else from ``tracer``'s in-memory
-    records.  ``report.metrics`` and ``report.cost`` are not touched:
-    the run that filled the report wrote its own registry and ledger.
-    """
-    path = trace_path or getattr(tracer, "path", None)
-    records = read_trace(path) if path else getattr(tracer, "records", None)
-    if records:
-        report.spans = aggregate_spans(records)
-    return report
-
-
 @dataclass
 class PipelineResult:
     """Everything a pipeline run produced."""
@@ -421,22 +400,7 @@ class PipelineResult:
 
     def findings_dict(self) -> Dict[str, Any]:
         """Canonical findings across all bundles (for files and diffing)."""
-        return {
-            "bundles": [
-                {
-                    "apps": sorted(a.package for a in report.bundle.apps),
-                    "scenarios": [
-                        serialize.scenario_to_dict(s)
-                        for s in report.scenarios
-                    ],
-                    "policies": [
-                        serialize.policy_to_dict(p) for p in report.policies
-                    ],
-                    "detection": report.detection.to_dict(),
-                }
-                for report in self.reports
-            ],
-        }
+        return {"bundles": [report.findings() for report in self.reports]}
 
 
 class AnalysisPipeline:
@@ -963,7 +927,6 @@ class AnalysisPipeline:
             report.add_stage("extract", time.perf_counter() - start)
             report.num_apps += sum(1 for m in models if m is not None)
             report.failures.extend(f.to_dict() for f in failures)
-            report.cache = self.cache.accounting
             report.cost = ledger.entries()
             report.metrics = metrics.snapshot()
         return models
@@ -976,7 +939,9 @@ class AnalysisPipeline:
         created for this run, so ``run_report.cost`` lists the run's
         accounts in charge order and ``run_report.metrics`` holds the
         run's counts and nothing else.  Once ``pipeline.run`` has closed,
-        the current tracer's spans become ``run_report.spans``.
+        the spans of the tracer it ran under -- from the file it appends
+        to, worker lines included, else from its in-memory records -- are
+        aggregated into ``run_report.spans``.
         """
         run_report = RunReport(jobs=self.jobs)
         ledger = CostLedger()
@@ -1012,7 +977,10 @@ class AnalysisPipeline:
                 ledger=ledger,
                 metrics=metrics,
             )
-        attach_observability(run_report, tracer=tracer)
+        path = getattr(tracer, "path", None)
+        records = read_trace(path) if path else getattr(tracer, "records", None)
+        if records:
+            run_report.spans = aggregate_spans(records)
         return result
 
     @_frozen_heap()
@@ -1176,14 +1144,10 @@ class AnalysisPipeline:
                     for (tb, _), payload in zip(tasks, cached)
                     if tb == b and payload is not None
                 )
-                stats = result.stats
                 report = Separ.assemble_report(
                     bundle, result, detection=detections[b]
                 )
                 reports.append(report)
-                run_report.solver.add_synthesis_stats(stats)
-                run_report.construction_seconds += stats.construction_seconds
-                run_report.solving_seconds += stats.solving_seconds
                 run_report.num_scenarios += len(report.scenarios)
                 run_report.num_policies += len(report.policies)
                 run_report.per_bundle.append(
@@ -1191,13 +1155,9 @@ class AnalysisPipeline:
                         "apps": len(bundle.apps),
                         "scenarios": len(report.scenarios),
                         "policies": len(report.policies),
-                        "conflicts": stats.conflicts,
-                        "decisions": stats.decisions,
-                        "propagations": stats.propagations,
                     }
                 )
         run_report.add_stage("assemble", time.perf_counter() - start)
-        run_report.cache = self.cache.accounting
         run_report.cost = ledger.entries()
         run_report.metrics = metrics.snapshot()
         return PipelineResult(reports=reports, run_report=run_report)

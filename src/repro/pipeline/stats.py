@@ -1,9 +1,10 @@
 """Pipeline instrumentation: stage timings, cache accounting, run reports.
 
 A :class:`RunReport` is the machine-readable record of one pipeline run:
-per-stage wall time, the CDCL solver counters rolled up across every
-synthesis call, and the cache's hit/miss/invalidation accounting.  The
-Table 2 / Fig 5 benchmark harnesses and ``benchsuite.metrics`` consume it.
+per-stage wall time, and the run's own metrics and cost ledger, which
+are the one account of the solver work it did and the cache traffic it
+made.  The Table 2 / Fig 5 benchmark harnesses and ``benchsuite.metrics``
+consume it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class StageTiming:
         return {"name": self.name, "seconds": self.seconds}
 
 
+#: The cache's traffic kinds: the :class:`CacheAccounting` maps, and the
+#: last part of a run's ``cache.<namespace>.<kind>`` counter names.
+_KINDS = ("hits", "misses", "invalidations", "rejections")
+
+
 @dataclass
 class CacheAccounting:
     """Hit/miss/invalidation counters, kept per namespace.
@@ -96,11 +102,19 @@ class CacheAccounting:
     def counts(self, namespace: str) -> Dict[str, int]:
         """One namespace's four counts so far, by kind."""
         return {
-            "hits": self.hits.get(namespace, 0),
-            "misses": self.misses.get(namespace, 0),
-            "invalidations": self.invalidations.get(namespace, 0),
-            "rejections": self.rejections.get(namespace, 0),
+            kind: getattr(self, kind).get(namespace, 0) for kind in _KINDS
         }
+
+    @staticmethod
+    def from_metrics(metrics: Dict[str, Dict[str, Any]]) -> "CacheAccounting":
+        """The traffic a run's ``cache.<namespace>.<kind>`` counters hold."""
+        accounting = CacheAccounting()
+        for name, metric in metrics.items():
+            scope, _, rest = name.partition(".")
+            namespace, _, kind = rest.rpartition(".")
+            if scope == "cache" and namespace and kind in _KINDS:
+                getattr(accounting, kind)[namespace] = metric["value"]
+        return accounting
 
     @property
     def total_hits(self) -> int:
@@ -132,73 +146,6 @@ class CacheAccounting:
 
 
 @dataclass
-class SolverCounters:
-    """CDCL and encoding work rolled up across every SAT call of a run.
-
-    The last four fields account for shared-encoding reuse:
-    ``translations`` counts full formula-to-CNF translations actually
-    performed, ``translations_avoided`` the ones the shared encoding
-    skipped, ``clauses_shared`` the base clauses warm queries reused
-    instead of re-adding, and ``learned_carried`` the learned clauses
-    already in the solver when each subsequent signature started.
-    """
-
-    conflicts: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    solver_calls: int = 0
-    num_vars: int = 0
-    num_clauses: int = 0
-    translations: int = 0
-    translations_avoided: int = 0
-    clauses_shared: int = 0
-    learned_carried: int = 0
-
-    def add_synthesis_stats(self, stats: "SynthesisStatsLike") -> None:
-        self.conflicts += stats.conflicts
-        self.decisions += stats.decisions
-        self.propagations += stats.propagations
-        self.solver_calls += stats.solver_calls
-        self.num_vars += stats.num_vars
-        self.num_clauses += stats.num_clauses
-        self.translations += getattr(stats, "translations", 0)
-        self.translations_avoided += getattr(
-            stats, "translations_avoided", 0
-        )
-        self.clauses_shared += getattr(stats, "clauses_shared", 0)
-        self.learned_carried += getattr(stats, "learned_carried", 0)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "conflicts": self.conflicts,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "solver_calls": self.solver_calls,
-            "num_vars": self.num_vars,
-            "num_clauses": self.num_clauses,
-            "translations": self.translations,
-            "translations_avoided": self.translations_avoided,
-            "clauses_shared": self.clauses_shared,
-            "learned_carried": self.learned_carried,
-        }
-
-
-class SynthesisStatsLike:
-    """Structural protocol: anything carrying the rolled-up counters."""
-
-    conflicts: int
-    decisions: int
-    propagations: int
-    solver_calls: int
-    num_vars: int
-    num_clauses: int
-    translations: int
-    translations_avoided: int
-    clauses_shared: int
-    learned_carried: int
-
-
-@dataclass
 class RunReport:
     """The machine-readable record of one pipeline run.
 
@@ -210,7 +157,12 @@ class RunReport:
     registry, and the entries of its own cost ledger
     (:meth:`repro.obs.cost.CostLedger.entries` rows keyed by
     ``trace_id``/``device``/``bundle``/``signature``, in charge order).
-    All default to empty and serialize round-trip losslessly.
+    All default to empty and serialize round-trip losslessly.  They are
+    the one account of the run's work: the ``sat.*``/``ase.*`` metrics
+    and the cost rows are booked only from the payloads this run
+    computed, and :attr:`cache` is read from the
+    ``cache.<namespace>.<kind>`` counters.  ``per_bundle`` lists each
+    bundle's ``{apps, scenarios, policies}`` in bundle order.
 
     ``failures`` lists every task that exhausted its retries
     (:meth:`TaskFailure.to_dict` records) and ``degraded`` every
@@ -225,16 +177,17 @@ class RunReport:
     num_scenarios: int = 0
     num_policies: int = 0
     stages: List[StageTiming] = field(default_factory=list)
-    cache: CacheAccounting = field(default_factory=CacheAccounting)
-    solver: SolverCounters = field(default_factory=SolverCounters)
-    construction_seconds: float = 0.0
-    solving_seconds: float = 0.0
     per_bundle: List[Dict[str, Any]] = field(default_factory=list)
     spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
     metrics: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     cost: List[Dict[str, Any]] = field(default_factory=list)
     failures: List[Dict[str, Any]] = field(default_factory=list)
     degraded: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def cache(self) -> CacheAccounting:
+        """This run's own cache traffic, read from its metrics."""
+        return CacheAccounting.from_metrics(self.metrics)
 
     @property
     def clean(self) -> bool:
@@ -266,9 +219,6 @@ class RunReport:
             "stages": [t.to_dict() for t in self.stages],
             "total_seconds": self.total_seconds,
             "cache": self.cache.to_dict(),
-            "solver": self.solver.to_dict(),
-            "construction_seconds": self.construction_seconds,
-            "solving_seconds": self.solving_seconds,
             "per_bundle": self.per_bundle,
             "spans": self.spans,
             "metrics": self.metrics,
@@ -288,8 +238,6 @@ class RunReport:
             num_bundles=data.get("num_bundles", 0),
             num_scenarios=data.get("num_scenarios", 0),
             num_policies=data.get("num_policies", 0),
-            construction_seconds=data.get("construction_seconds", 0.0),
-            solving_seconds=data.get("solving_seconds", 0.0),
             per_bundle=list(data.get("per_bundle", ())),
             spans={k: dict(v) for k, v in data.get("spans", {}).items()},
             metrics={k: dict(v) for k, v in data.get("metrics", {}).items()},
@@ -299,24 +247,6 @@ class RunReport:
         )
         for timing in data.get("stages", ()):
             report.add_stage(timing["name"], timing["seconds"])
-        cache = data.get("cache", {})
-        report.cache.hits = dict(cache.get("hits", {}))
-        report.cache.misses = dict(cache.get("misses", {}))
-        report.cache.invalidations = dict(cache.get("invalidations", {}))
-        report.cache.rejections = dict(cache.get("rejections", {}))
-        solver = data.get("solver", {})
-        report.solver = SolverCounters(
-            conflicts=solver.get("conflicts", 0),
-            decisions=solver.get("decisions", 0),
-            propagations=solver.get("propagations", 0),
-            solver_calls=solver.get("solver_calls", 0),
-            num_vars=solver.get("num_vars", 0),
-            num_clauses=solver.get("num_clauses", 0),
-            translations=solver.get("translations", 0),
-            translations_avoided=solver.get("translations_avoided", 0),
-            clauses_shared=solver.get("clauses_shared", 0),
-            learned_carried=solver.get("learned_carried", 0),
-        )
         return report
 
     @staticmethod

@@ -21,7 +21,6 @@ from repro.service.session import (
     SessionConfig,
     cold_analysis,
     detection_delta,
-    findings_bundle,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "SessionConfig",
     "cold_analysis",
     "detection_delta",
-    "findings_bundle",
 ]

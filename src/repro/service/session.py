@@ -96,19 +96,6 @@ def _make_engine(config: SessionConfig) -> AnalysisAndSynthesisEngine:
     return AnalysisAndSynthesisEngine(**config.engine_params())
 
 
-def findings_bundle(report: SeparReport) -> Dict[str, Any]:
-    """One bundle's findings in the pipeline's canonical diffable shape
-    (the per-bundle entry of ``PipelineResult.findings_dict``)."""
-    return {
-        "apps": sorted(a.package for a in report.bundle.apps),
-        "scenarios": [
-            serialize.scenario_to_dict(s) for s in report.scenarios
-        ],
-        "policies": [serialize.policy_to_dict(p) for p in report.policies],
-        "detection": report.detection.to_dict(),
-    }
-
-
 def cold_analysis(
     apps: List[AppModel], config: SessionConfig
 ) -> Dict[str, Any]:
@@ -124,7 +111,7 @@ def cold_analysis(
     """
     bundle = BundleModel(apps=sorted(apps, key=lambda a: a.package))
     result = _make_engine(config).run(bundle)
-    return findings_bundle(Separ.assemble_report(bundle, result))
+    return Separ.assemble_report(bundle, result).findings()
 
 
 def detection_delta(
@@ -289,7 +276,7 @@ class DeviceSession:
     # ------------------------------------------------------------------
     def analyze(self) -> Dict[str, Any]:
         with self._lock:
-            return findings_bundle(self._ensure_fresh())
+            return self._ensure_fresh().findings()
 
     def policies(self) -> Dict[str, Any]:
         with self._lock:
@@ -506,5 +493,4 @@ __all__ = [
     "cold_analysis",
     "detection_delta",
     "effective_app",
-    "findings_bundle",
 ]

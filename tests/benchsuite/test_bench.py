@@ -96,6 +96,9 @@ class TestSnapshot:
         assert cold["cache_hit_rate"] == 0.0
         assert warm["cache_hit_rate"] == 1.0
         assert cold["solver_calls"] > 0
+        # A warm run reports its own work: cache hits, and no solving.
+        assert warm["solver_calls"] == 0
+        assert warm["construction_seconds"] == 0
         accuracy = snapshot["workloads"]["accuracy"]
         assert 0.0 <= accuracy["precision"] <= 1.0
         assert accuracy["cases"] > 0

@@ -154,6 +154,22 @@ class TestFaultFlags:
         assert "invalid int value: '1.5'" in err
 
 
+class TestPipelineSummary:
+    def test_warm_run_prints_its_own_work(self, tmp_path, capsys):
+        """The "solver:" and "encoding:" lines read the run's own
+        metrics, so a rerun on a filled cache prints no solver work."""
+        argv = ["pipeline", "--scale", "0.002", "--bundle-size", "4",
+                "--scenarios", "2", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "  solver: 0 calls" not in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert " 0 misses, 0 invalidations" in warm
+        assert "  solver: 0 calls, 0 conflicts" in warm
+        assert "  encoding: 0 translations (0 avoided)" in warm
+
+
 class TestSimulate:
     def test_attack_denied_and_audited(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.jsonl"

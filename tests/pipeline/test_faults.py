@@ -47,6 +47,7 @@ from repro.pipeline.faults import (
     parse_fault_spec,
 )
 from repro.statics import extract_bundle
+from tests.pipeline.test_observability import assert_books_the_payload_stats
 
 
 @pytest.fixture(autouse=True)
@@ -767,9 +768,5 @@ class TestSolverBudgetMetrics:
             report.degraded
         )
         assert metrics["sat.conflicts"]["value"] >= 1
-        assert (
-            metrics["sat.solver_calls"]["value"]
-            == report.solver.solver_calls
-            >= 1
-        )
-        assert metrics["sat.conflicts"]["value"] == report.solver.conflicts
+        assert metrics["sat.solver_calls"]["value"] >= 1
+        assert_books_the_payload_stats(result)

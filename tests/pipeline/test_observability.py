@@ -1,7 +1,8 @@
 """Observability through the pipeline: run-report round-trips carrying
-spans/metrics/cost, attach_observability, traced end-to-end runs, each
-run's own metrics and cost accounts, and cross-process propagation of
-spans and heartbeats under both pool start methods."""
+spans/metrics/cost, the spans a run folds in from its tracer, traced
+end-to-end runs, each run's own metrics and cost accounts, and
+cross-process propagation of spans and heartbeats under both pool start
+methods."""
 
 import importlib.util
 import multiprocessing
@@ -15,6 +16,7 @@ from repro.benchsuite.running_example import (
     build_app2,
     build_malicious_app,
 )
+from repro.core.synthesis import SynthesisStats
 from repro.obs import (
     COST_FIELDS,
     NULL_TRACER,
@@ -22,6 +24,7 @@ from repro.obs import (
     JsonlTracer,
     ProgressSnapshot,
     TraceContext,
+    aggregate_spans,
     current_trace_id,
     current_tracer,
     read_events,
@@ -34,7 +37,6 @@ from repro.pipeline import (
     NullCache,
     PipelineCache,
     RunReport,
-    attach_observability,
 )
 from repro.pipeline.executor import _run_task
 from repro.statics.callgraph import CallGraph
@@ -82,6 +84,36 @@ def observed():
         yield tracer
 
 
+def assert_books_the_payload_stats(result):
+    """A run that computed every payload holds, in its registry, exactly
+    the work its bundles' payload stats carry, and its ledger's conflicts
+    equal ``sat.conflicts``.  Returns the merged stats."""
+    stats = SynthesisStats()
+    for report in result.reports:
+        stats.merge(report.stats)
+    metrics = result.run_report.metrics
+    for name, field in (
+        ("sat.solver_calls", "solver_calls"),
+        ("sat.conflicts", "conflicts"),
+        ("sat.decisions", "decisions"),
+        ("sat.propagations", "propagations"),
+        ("ase.translations", "translations"),
+        ("ase.translations_avoided", "translations_avoided"),
+        ("ase.clauses_shared", "clauses_shared"),
+        ("ase.learned_carried", "learned_carried"),
+    ):
+        assert metrics[name]["value"] == getattr(stats, field), name
+    for field in (
+        "num_vars", "num_clauses", "construction_seconds", "solving_seconds"
+    ):
+        assert metrics[f"ase.{field}"]["sum"] == pytest.approx(
+            getattr(stats, field)
+        ), field
+    conflicts = sum(row["conflicts"] for row in result.run_report.cost)
+    assert conflicts == metrics["sat.conflicts"]["value"]
+    return stats
+
+
 def comparable(metrics):
     """Counters by value; histograms by observation count (timing sums
     are wall-clock and legitimately vary)."""
@@ -113,50 +145,85 @@ class TestRunReportRoundTrip:
         assert restored.metrics == report.metrics
         assert restored.to_dict() == report.to_dict()
 
+    def test_cache_follows_from_the_metrics(self):
+        # A loaded report's cache block is read from its counters; a
+        # written ``cache`` block is not a second source.
+        data = RunReport(
+            metrics={
+                "cache.extract.hits": {"type": "counter", "value": 2},
+                "cache.synthesis.misses": {"type": "counter", "value": 1},
+            }
+        ).to_dict()
+        assert data["cache"]["total_hits"] == 2
+        data["cache"] = {"hits": {"extract": 9}, "total_hits": 9}
+        restored = RunReport.from_dict(data)
+        assert restored.cache.hits == {"extract": 2}
+        assert restored.cache.misses == {"synthesis": 1}
+
     def test_fields_default_empty_for_old_reports(self):
         # Reports written before observability existed must still load.
+        # Their cache traffic is not restored: with no ``cache.*``
+        # metrics, the loaded report's cache is empty.
         report = RunReport(jobs=1)
         data = report.to_dict()
         del data["spans"], data["metrics"]
+        data["cache"] = {"hits": {"extract": 3}, "misses": {"synthesis": 1}}
         import json
 
         restored = RunReport.loads(json.dumps(data))
         assert restored.spans == {} and restored.metrics == {}
+        assert restored.cache.total_hits == 0
+        assert restored.cache.misses == {}
 
 
-class TestAttachObservability:
-    def test_folds_spans_and_keeps_the_runs_metrics(self, observed):
-        tracer = observed
-        with tracer.span("work"):
-            pass
-        metrics = {"sat.solver_calls": {"type": "counter", "value": 3}}
-        report = attach_observability(
-            RunReport(jobs=1, metrics=metrics), tracer=tracer
-        )
-        assert report.spans["work"]["count"] == 1
-        assert report.metrics == metrics
+class TestRunFoldsSpans:
+    """After ``pipeline.run`` closes, a run folds the spans of the tracer
+    it ran under into its report: from the file a tracer appends to,
+    from an in-memory tracer's records, and none under the no-op
+    tracer."""
 
-    def test_noop_when_disabled(self, observed):
-        # Neither a file nor a collecting tracer given, or the no-op
-        # tracer: the report stays untouched, whatever tracer is current.
-        with observed.span("work"):
-            pass
-        for report in (
-            attach_observability(RunReport(jobs=1)),
-            attach_observability(RunReport(jobs=1), tracer=NULL_TRACER),
-        ):
-            assert report.spans == {} and report.metrics == {}
+    @staticmethod
+    def _run():
+        return AnalysisPipeline(
+            jobs=1, scenarios_per_signature=2
+        ).run([[build_app1(), build_app2()]]).run_report
 
-    def test_reads_trace_file_when_given(self, tmp_path, observed):
-        tracer = observed
-        with tracer.span("recorded"):
-            pass
-        from repro.obs.trace import write_trace
+    def test_folds_in_memory_records_and_keeps_the_runs_account(
+        self, observed
+    ):
+        report = self._run()
+        names = {r.name for r in observed.records}
+        assert "pipeline.run" in names and set(report.spans) == names
+        # Folding spans leaves the run's metrics and cost as an untraced
+        # run counts them.
+        with tracing(NULL_TRACER):
+            plain = self._run()
+        assert comparable(report.metrics) == comparable(plain.metrics)
 
+        def meters(rows):
+            drop = ("trace_id", "wall_seconds")
+            return [{k: v for k, v in r.items() if k not in drop} for r in rows]
+
+        assert meters(report.cost) == meters(plain.cost)
+
+    def test_noop_tracer_folds_nothing(self):
+        with tracing(NULL_TRACER):
+            report = self._run()
+        assert report.spans == {} and report.metrics
+
+    def test_reads_the_trace_file_the_tracer_appends_to(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_trace(str(path), tracer.records)
-        report = attach_observability(RunReport(jobs=1), trace_path=str(path))
-        assert "recorded" in report.spans
+        tracer = JsonlTracer(str(path))
+        try:
+            with tracing(tracer):
+                with tracer.span("before"):
+                    pass
+                report = self._run()
+        finally:
+            tracer.close()
+        # The file holds what the tracer wrote before the run, too.
+        assert report.spans["before"]["count"] == 1
+        assert report.spans["pipeline.run"]["count"] == 1
 
 
 class TestTracedPipelineRun:
@@ -310,12 +377,6 @@ class TestRunCostLedger:
         assert cost[0]["clauses_added"] > 0
         assert [r["signature"] for r in extraction.cost] == ["", ""]
 
-    def test_attach_observability_keeps_the_runs_cost(self):
-        rows = [{"trace_id": "t", "bundle": "b", "conflicts": 3.0}]
-        report = RunReport(cost=list(rows))
-        attach_observability(report)
-        assert report.cost == rows
-
 
 class TestRunMetrics:
     """Each run counts into a registry of its own, booked from the
@@ -327,30 +388,24 @@ class TestRunMetrics:
         bundles = [[build_app1(), build_app2()], [build_malicious_app()]]
         return AnalysisPipeline(
             jobs=1, cache=PipelineCache(cache_dir), scenarios_per_signature=2
-        ).run(bundles).run_report
+        ).run(bundles)
 
     def test_cold_run_books_its_work_and_warm_run_only_cache_hits(
         self, tmp_path
     ):
-        cold = self._run(tmp_path)
+        result = self._run(tmp_path)
+        cold = result.run_report
         counts = comparable(cold.metrics)
-        solver = cold.solver
         assert counts["ame.apps_extracted"] == cold.num_apps == 3
         assert counts["cache.extract.misses"] == 3
         assert counts["cache.synthesis.misses"] == 2
-        for name in ("solver_calls", "conflicts", "decisions",
-                     "propagations"):
-            assert counts[f"sat.{name}"] == getattr(solver, name), name
-        for name in ("translations", "translations_avoided",
-                     "clauses_shared", "learned_carried"):
-            assert counts[f"ase.{name}"] == getattr(solver, name), name
         assert counts["ase.num_vars"] == 2  # one observation per payload
-        assert cold.metrics["ase.num_clauses"]["sum"] == solver.num_clauses
         assert counts["ase.scenarios"] == cold.num_scenarios
-        # The ledger reads the same payload stats.
-        assert sum(e["conflicts"] for e in cold.cost) == solver.conflicts
+        # The registry and the ledger hold the payload stats the bundles
+        # carry.
+        assert_books_the_payload_stats(result)
 
-        warm = self._run(tmp_path)
+        warm = self._run(tmp_path).run_report
         assert comparable(warm.metrics) == {
             "cache.extract.hits": 3,
             "cache.synthesis.hits": 2,
@@ -446,19 +501,20 @@ class TestOwnedTracers:
         from repro.pipeline import executor
 
         folded = []
-        attach = executor.attach_observability
 
-        def counting(report, trace_path=None, tracer=None):
-            folded.append(sorted({r.name for r in tracer.records}))
-            return attach(report, trace_path, tracer)
+        def counting(records):
+            folded.append(sorted({r.name for r in records}))
+            return aggregate_spans(records)
 
-        monkeypatch.setattr(executor, "attach_observability", counting)
+        monkeypatch.setattr(executor, "aggregate_spans", counting)
         report = AnalysisPipeline(
             jobs=1, scenarios_per_signature=2
         ).run([[build_app1(), build_app2()]]).run_report
+        # The run span is recorded when it closes, so it is folded in
+        # only if the spans were read after it.
         assert len(folded) == 1 and "pipeline.run" in folded[0]
         assert report.spans["pipeline.run"]["count"] == 1
-        assert set(report.spans) == set(folded[0])
+        assert report.spans == aggregate_spans(observed.records)
 
     def test_task_opens_and_closes_a_tracer_on_the_envelope_file(
         self, tmp_path

@@ -17,6 +17,7 @@ from repro.core.separ import Separ
 from repro.pipeline import AnalysisPipeline, PipelineCache, RunReport, executor
 from repro.workloads import CorpusConfig, CorpusGenerator
 from repro.workloads.bundles import partition_bundles
+from tests.pipeline.test_observability import assert_books_the_payload_stats
 
 
 def _corpus_bundles(scale=0.005, bundle_size=7):
@@ -159,6 +160,25 @@ class TestCaching:
         warm_synth = warm.run_report.stage("synthesis").seconds
         assert warm_synth < cold_synth
 
+    def test_a_reused_cache_reports_each_runs_own_traffic(self, tmp_path):
+        """One pipeline on one cache object, run twice: each report keeps
+        its own run's cache traffic and work, and the warm run's
+        report does not rewrite the cold one's."""
+        pipeline = AnalysisPipeline(
+            jobs=1, cache=PipelineCache(tmp_path), scenarios_per_signature=2
+        )
+        bundles = [[build_app1(), build_app2()]]
+        cold = pipeline.run(bundles).run_report
+        before = cold.dumps()
+        warm = pipeline.run(bundles).run_report
+        assert cold.dumps() == before
+        assert cold.cache.total_hits == 0 and cold.cache.total_misses == 3
+        assert warm.cache.hits == {"extract": 2, "synthesis": 1}
+        assert warm.cache.misses == warm.cache.invalidations == {}
+        assert warm.cache.rejections == {}
+        assert not [m for m in warm.metrics if m.startswith(("sat.", "ase."))]
+        assert warm.num_scenarios == cold.num_scenarios > 0
+
     def test_engine_params_partition_the_cache(self, tmp_path):
         apks = [build_app1(), build_app2()]
         AnalysisPipeline(
@@ -222,10 +242,10 @@ class TestRunReport:
         result = AnalysisPipeline(jobs=1, scenarios_per_signature=4).run(
             [[build_app1(), build_app2()]]
         )
-        solver = result.run_report.solver
-        assert solver.solver_calls > 0
-        assert solver.decisions > 0
-        assert solver.num_vars > 0
+        stats = assert_books_the_payload_stats(result)
+        assert stats.solver_calls > 0
+        assert stats.decisions > 0
+        assert stats.num_vars > 0
 
 
 class TestSerializationRoundtrip:

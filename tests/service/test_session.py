@@ -21,7 +21,6 @@ from repro.service.session import (
     DeviceSession,
     SessionConfig,
     cold_analysis,
-    findings_bundle,
 )
 from repro.statics import extract_app
 
@@ -377,7 +376,7 @@ class TestColdComparator:
         bundle = BundleModel(apps=sorted(apps, key=lambda a: a.package))
         separ = Separ(scenarios_per_signature=CONFIG.scenarios_per_signature)
         assert canon(cold_analysis(apps, CONFIG)) == canon(
-            findings_bundle(separ.analyze_bundle(bundle))
+            separ.analyze_bundle(bundle).findings()
         )
 
     def test_cold_analysis_order_independent(self, apps):
